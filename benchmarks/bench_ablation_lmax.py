@@ -9,15 +9,19 @@ Two checks around the paper's Section 6 machinery:
 - *tie-break strategies*: "balanced" reproduces the paper's d1 choice on the
   running example and is compared against lexicographic "first" on the
   benchmark flows.
+
+Also records the size of the ``subset(delta, l)`` threshold construction
+(Fig. 4), whose cost the paper states as O(delta * l) BDD operations.
 """
 
 import random
+from math import comb
 
 import pytest
 
 from benchmarks.conftest import emit, reset_results
 from repro.benchcircuits import get_circuit
-from repro.imodec.chi import chi_for_output
+from repro.imodec.chi import chi_for_output, threshold_at_least
 from repro.imodec.lmax import count_layers, lmax
 from repro.imodec.zspace import ZSpace
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
@@ -85,6 +89,18 @@ def test_lmax_scales_implicitly(benchmark, p):
     layers = count_layers(zspace, chis)
     assert len(layers) == 6
     emit(MODULE, f"  p = {p:>2}: implicit Lmax fine (2^p = {1 << p:.1e} vertices)")
+
+
+@pytest.mark.parametrize("l,delta", [(16, 4), (32, 8), (64, 16)])
+def test_subset_threshold_scaling(benchmark, l, delta):
+    """subset(delta, l) of Fig. 4: O(delta * l) BDD operations."""
+    zspace = ZSpace(l)
+    lits = [zspace.bdd.var(i) for i in range(l)]
+    node = benchmark(lambda: threshold_at_least(zspace, lits, delta))
+    # The onset is every vertex with at least delta of the l literals set.
+    assert zspace.count(node) == sum(comb(l, k) for k in range(delta, l + 1))
+    nodes = zspace.bdd.cache_stats()["nodes"]
+    emit(MODULE, f"  subset(delta={delta:>2}, l={l:>2}): {nodes} manager nodes")
 
 
 @pytest.mark.parametrize("tie_break", ["first", "balanced"])

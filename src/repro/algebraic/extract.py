@@ -37,7 +37,13 @@ def node_to_global(network: Network, name: str) -> list[GlobalCube]:
 
 
 def global_to_cover(cubes: list[GlobalCube]) -> tuple[list[str], Sop]:
-    """Rebuild (fanins, local cover) from global cubes."""
+    """Rebuild (fanins, local cover) from global cubes.
+
+    A cube holding both polarities of one signal is constant 0 and is
+    dropped: a node whose fanin list names a signal twice yields such
+    cubes, and one local index per signal could not represent them.
+    """
+    cubes = [c for c in cubes if len({sig for sig, _ in c}) == len(c)]
     signals = sorted({sig for cube in cubes for sig, _ in cube})
     index = {sig: j for j, sig in enumerate(signals)}
     local = []

@@ -102,10 +102,8 @@ class BDD:
         assert bdd.eval(f, {0: True, 1: False})
     """
 
-    #: Registry name of this implementation (see :mod:`repro.bdd.backend`).
-    backend_name = "object"
-
     def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT) -> None:
+        """Empty manager; ``cache_limit`` bounds the operation cache."""
         # Parallel node arrays indexed by node index (edge >> 1); slot 0 is
         # the terminal.  Its children point at itself so edge traversal of a
         # terminal is a fixed point, as in the pre-complement-edge engine.
@@ -217,14 +215,13 @@ class BDD:
     def mk(self, level: int, low: int, high: int) -> int:
         """Public canonical find-or-create (the transfer/import seam).
 
-        Both backends expose this so :mod:`repro.bdd.transfer` and the
-        reorder rebuilds can materialize nodes without reaching into
-        implementation internals.
+        :mod:`repro.bdd.transfer` and the reorder rebuilds materialize
+        nodes through this instead of reaching into the node arrays.
         """
         return self._mk(level, low, high)
 
     def clone_empty(self) -> "BDD":
-        """Fresh manager of the same backend and cache sizing (no variables)."""
+        """Fresh manager with the same cache sizing (no variables)."""
         return BDD(self._cache_limit)
 
     def level(self, u: int) -> int:

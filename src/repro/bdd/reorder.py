@@ -55,8 +55,7 @@ def rebuild_with_order(src: BDD, roots: Sequence[int], order: Sequence[str]) -> 
     names = [src.var_name(lvl) for lvl in range(src.num_vars)]
     if sorted(order) != sorted(names):
         raise ValueError("order must be a permutation of the manager's variables")
-    # Rebuild into the same backend as the source so a reordered arena
-    # stays an arena (and its stats stay comparable).
+    # Rebuild with the source's cache sizing so its stats stay comparable.
     dst = src.clone_empty()
     for name in order:
         dst.add_var(name)

@@ -38,14 +38,9 @@ workers are separate subcommands::
     python -m repro.cli worker --broker 127.0.0.1:8378
     python -m repro.cli synth design.pla --executor remote --broker 127.0.0.1:8378
 
-``--bdd-backend`` picks the BDD manager implementation: ``object``
-(default, the reference dict-of-nodes manager) or ``arena`` (a flat numpy
-node store with iterative integer kernels; requires numpy, exit code 2
-when missing).  Both backends are canonical-form identical and emit
-byte-identical BLIF; see ``docs/ENGINE.md``.  ``--auto-reorder`` arms
-growth-triggered variable sifting between output groups (serial executor),
-firing when the manager grows past ``--reorder-factor`` times its
-post-build size.
+``--auto-reorder`` arms growth-triggered variable sifting between output
+groups (serial executor), firing when the manager grows past
+``--reorder-factor`` times its post-build size; see ``docs/ENGINE.md``.
 
 Observability: ``--report FILE`` writes a machine-readable JSON run report
 (per-phase wall-clock, BDD node and cache deltas, IMODEC iteration counts,
@@ -76,7 +71,6 @@ from pathlib import Path
 
 from repro import observe
 from repro.algebraic.rugged import rugged
-from repro.bdd.backend import BACKEND_NAMES, DEFAULT_BACKEND, BackendUnavailable
 from repro.engine import parse_fault_plan, synthesize_batch
 from repro.engine.executors import request_cancel, reset_cancel, shutdown_pool
 from repro.errors import (
@@ -206,7 +200,6 @@ def _make_config(args: argparse.Namespace) -> FlowConfig:
         jobs=args.jobs,
         executor=args.executor,
         broker=getattr(args, "broker", None),
-        bdd_backend=args.bdd_backend,
         auto_reorder=args.auto_reorder,
         reorder_factor=args.reorder_factor,
         task_timeout=args.task_timeout,
@@ -280,7 +273,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 "structural": bool(args.structural),
                 "rugged": bool(args.rugged),
                 "jobs": args.jobs,
-                "bdd_backend": config.bdd_backend,
                 "verified": bool(ok) and error is None,
                 "wall_clock_seconds": elapsed,
             }
@@ -547,11 +539,6 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "with 'repro worker')")
     cmd.add_argument("--jobs", type=int, default=1,
                      help="worker processes (engine workers, bound-set scoring)")
-    cmd.add_argument("--bdd-backend", choices=list(BACKEND_NAMES),
-                     default=DEFAULT_BACKEND,
-                     help="BDD manager implementation: object (reference) or "
-                          "arena (flat numpy node store with iterative "
-                          "kernels; same BLIF bytes, faster on large managers)")
     cmd.add_argument("--auto-reorder", action="store_true",
                      help="growth-triggered variable sifting between output "
                           "groups (see --reorder-factor)")
@@ -714,9 +701,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BackendUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

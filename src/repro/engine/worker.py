@@ -77,7 +77,7 @@ class GroupResult:
 
 def run_group(payload: GroupPayload) -> GroupResult:
     """Map one group on a private manager; the process-pool entry point."""
-    from repro.bdd.backend import make_manager
+    from repro.bdd.manager import BDD
     from repro.engine.emitter import EmitContext, VectorEmitter
     from repro.engine.executors import SerialExecutor
     from repro.engine.policies import make_policy
@@ -95,7 +95,7 @@ def run_group(payload: GroupPayload) -> GroupResult:
         resume_from=None,
         cache_db=None,  # the parent owns the single store connection
     )
-    bdd = make_manager(payload.config.bdd_backend)
+    bdd = BDD()
     roots = import_dag(bdd, payload.dag)
 
     lut = Network("worker")

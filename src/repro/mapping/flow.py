@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from repro import observe
-from repro.bdd.backend import BACKEND_NAMES, DEFAULT_BACKEND
-from repro.bdd.manager import FALSE, TRUE
 from repro.engine import EXECUTORS, Engine, EngineStats
 from repro.engine.faults import FaultPlan
 from repro.engine.policies import POLICIES, parse_policy_spec
@@ -46,6 +44,7 @@ from repro.observe.stats import BddStats
 from repro.partitioning.outputs import partition_outputs
 from repro.partitioning.variables import Strategy
 from repro.targets import AUTO_TARGET, resolve_target
+from repro.verify import check_collapsed
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class FlowConfig:
     policy: str = "ladder-peel"  # decomposition heuristic (engine.policies)
     ladder_cap: int = 12  # hard ceiling of the bound-size ladder
     peel_rounds: int = 3  # lone-output peel rounds per vector
-    bdd_backend: Literal["object", "arena"] = DEFAULT_BACKEND
     auto_reorder: bool = False  # growth-triggered sifting between groups
     reorder_factor: float = 4.0  # trigger: nodes >= factor * post-build size
 
@@ -126,11 +124,6 @@ class FlowConfig:
             raise ValueError("ladder_cap below k leaves no ladder at all")
         if self.peel_rounds < 0:
             raise ValueError("peel_rounds must be >= 0")
-        if self.bdd_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown bdd backend {self.bdd_backend!r} "
-                f"(have: {list(BACKEND_NAMES)})"
-            )
         if self.reorder_factor <= 1.0:
             raise ValueError("reorder_factor must be > 1.0")
         if self.auto_reorder and self.executor != "serial":
@@ -239,7 +232,7 @@ class PreparedRun:
 def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:
     """Collapse a network and partition its outputs into engine groups."""
     with observe.span("collapse"):
-        collapsed = collapse(network, backend=config.bdd_backend)
+        collapsed = collapse(network)
         observe.watch(collapsed.bdd)
     bdd = collapsed.bdd
 
@@ -310,25 +303,7 @@ def verify_flow(original: Network, result: FlowResult) -> bool:
     simulation.
     """
     reference = collapse(original)
-    bdd = reference.bdd
-    values: dict[str, int] = {
-        name: bdd.var(level) for name, level in reference.input_levels.items()
-    }
-    lut_net = result.network
-    for name in lut_net.topological_order():
-        node = lut_net.nodes[name]
-        acc = FALSE
-        for cube in node.cover.cubes:
-            term = TRUE
-            for j, polarity in cube.literals().items():
-                fn = values[node.fanins[j]]
-                term = bdd.apply_and(term, fn if polarity else bdd.apply_not(fn))
-            acc = bdd.apply_or(acc, term)
-        values[name] = acc
-    for out_name, signal in result.output_signals.items():
-        if values[signal] != reference.output_nodes[out_name]:
-            return False
-    return True
+    return check_collapsed(reference, result.network, result.output_signals).equivalent
 
 
 def verify_flow_sim(

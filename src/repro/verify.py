@@ -21,11 +21,11 @@ counterexample vector.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Mapping
 
 from repro.bdd.manager import FALSE, TRUE
 from repro.errors import VerificationError
-from repro.network.collapse import CollapseOverflow, collapse
+from repro.network.collapse import CollapsedNetwork, CollapseOverflow, collapse
 from repro.network.network import Network
 from repro.network.simulate import input_vectors
 
@@ -63,14 +63,26 @@ class EquivalenceResult:
         )
 
 
-def _check_bdd(a: Network, b: Network, max_nodes: int | None) -> EquivalenceResult:
-    reference = collapse(a, max_nodes=max_nodes)
+def check_collapsed(
+    reference: CollapsedNetwork,
+    network: Network,
+    output_signals: Mapping[str, str],
+    max_nodes: int | None = None,
+) -> EquivalenceResult:
+    """Exact BDD check of ``network`` against collapsed reference outputs.
+
+    ``network`` is built into the reference's manager over the same input
+    variables; ``output_signals`` maps each reference output to the signal
+    of ``network`` that must compute it.  Canonicity turns every comparison into
+    node-id equality, so the verdict is a proof.  Raises
+    :class:`CollapseOverflow` when ``max_nodes`` is exceeded.
+    """
     bdd = reference.bdd
     values: dict[str, int] = {
         name: bdd.var(level) for name, level in reference.input_levels.items()
     }
-    for name in b.topological_order():
-        node = b.nodes[name]
+    for name in network.topological_order():
+        node = network.nodes[name]
         acc = FALSE
         for cube in node.cover.cubes:
             term = TRUE
@@ -81,10 +93,10 @@ def _check_bdd(a: Network, b: Network, max_nodes: int | None) -> EquivalenceResu
         values[name] = acc
         if max_nodes is not None and bdd.num_nodes > max_nodes:
             raise CollapseOverflow("equivalence BDDs exceeded the node budget")
-    for out in a.outputs:
-        miter = bdd.apply_xor(reference.output_nodes[out], values[out])
-        if miter != FALSE:
-            model = bdd.sat_one(miter) or {}
+    for out, signal in output_signals.items():
+        want, got = reference.output_nodes[out], values[signal]
+        if got != want:
+            model = bdd.sat_one(bdd.apply_xor(want, got)) or {}
             vector = {
                 name: model.get(level, False)
                 for name, level in reference.input_levels.items()
@@ -135,7 +147,9 @@ def check_equivalence(
     if method == "simulation":
         return _check_simulation(a, b, num_random, seed)
     try:
-        return _check_bdd(a, b, max_nodes if method == "auto" else None)
+        budget = max_nodes if method == "auto" else None
+        reference = collapse(a, max_nodes=budget)
+        return check_collapsed(reference, b, {out: out for out in a.outputs}, budget)
     except CollapseOverflow:
         if method == "bdd":
             raise

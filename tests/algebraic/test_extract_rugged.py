@@ -1,11 +1,19 @@
 """Unit tests for network-level extraction, eliminate, and the rugged script."""
 
-from repro.algebraic.extract import extract_cubes, extract_kernels
+from repro.algebraic.extract import (
+    extract_cubes,
+    extract_kernels,
+    global_to_cover,
+    node_to_global,
+    set_node_from_global,
+)
 from repro.algebraic.rugged import eliminate, rugged, simplify_nodes
+from repro.benchcircuits.synthetic import layered_circuit
 from repro.boolfunc.sop import Sop
 from repro.network.network import Network
 from repro.network.simulate import equivalent
 from repro.network.stats import network_stats
+from repro.verify import check_equivalence
 
 
 def shared_kernel_network():
@@ -17,6 +25,34 @@ def shared_kernel_network():
     net.add_node("g", ["b", "c", "d"], Sop.from_strings(3, ["11-", "1-1"]))
     net.set_outputs(["f", "g"])
     return net
+
+
+class TestGlobalToCover:
+    def test_drops_cube_with_both_polarities(self):
+        contradictory = frozenset({("s", True), ("s", False)})
+        kept = frozenset({("a", True), ("s", False)})
+        signals, cover = global_to_cover([contradictory, kept])
+        assert signals == ["a", "s"]
+        assert cover.cubes == Sop.from_strings(2, ["10"]).cubes
+
+    def test_all_cubes_contradictory_is_constant_zero(self):
+        signals, cover = global_to_cover([frozenset({("s", True), ("s", False)})])
+        assert signals == []
+        assert cover.num_vars == 0
+        assert cover.cubes == []
+
+    def test_repeated_fanin_round_trip_keeps_function(self):
+        # n = s * s' names fanin s twice: constant 0, not the literal s.
+        net = Network("dup")
+        for name in "as":
+            net.add_input(name)
+        net.add_node("n", ["s", "s"], Sop.from_strings(2, ["10"]))
+        net.add_node("y", ["a", "n"], Sop.from_strings(2, ["1-", "-1"]))
+        net.set_outputs(["y"])
+        reference = net.copy()
+        set_node_from_global(net, "n", node_to_global(net, "n"))
+        assert net.nodes["n"].cover.cubes == []
+        assert equivalent(net, reference)
 
 
 class TestExtractKernels:
@@ -35,6 +71,15 @@ class TestExtractKernels:
             if any(f in new_nodes for f in net.nodes[name].fanins)
         ]
         assert users == ["f", "g"]
+
+    def test_rugged_on_repeated_fanin_circuit_stays_equivalent(self):
+        # A kernel pass once rewrote a node whose cover n16*n16' is
+        # constant 0 into n16*k142: global_to_cover kept only the last
+        # polarity of the repeated fanin.
+        net = layered_circuit("C5315_s0", 44, 33, seed=1556642017, depth=5)
+        reference = net.copy()
+        rugged(net)
+        assert check_equivalence(reference, net).equivalent
 
     def test_no_extraction_when_nothing_shared(self):
         net = Network()

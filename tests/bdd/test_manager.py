@@ -283,3 +283,13 @@ class TestSizes:
         f = bdd.apply_and(x, y)
         bdd.clear_caches()
         assert bdd.apply_and(x, y) == f
+
+
+class TestCloneEmpty:
+    def test_clone_empty_keeps_cache_limit_drops_vars(self):
+        src = BDD(1 << 8)
+        src.add_var("a")
+        clone = src.clone_empty()
+        assert isinstance(clone, BDD)
+        assert clone.num_vars == 0
+        assert clone._cache_limit == 1 << 8

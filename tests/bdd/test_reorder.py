@@ -3,7 +3,14 @@
 import pytest
 
 from repro.bdd.manager import BDD
-from repro.bdd.reorder import copy_function, rebuild_with_order, sift, total_size
+from repro.bdd.reorder import (
+    GrowthTrigger,
+    copy_function,
+    rebuild_with_order,
+    sift,
+    sift_groups,
+    total_size,
+)
 
 
 def interleaved_worst_case():
@@ -57,3 +64,45 @@ class TestSift:
         new_bdd, (g,) = sift(bdd, [f])
         # optimal order gives 8 nodes (6 internal + 2 terminals)
         assert total_size(new_bdd, [g]) == 8
+
+
+class TestGrowthTrigger:
+    def test_unarmed_never_fires(self):
+        assert not GrowthTrigger(2.0).should_fire(10**9)
+
+    def test_fires_past_factor(self):
+        trigger = GrowthTrigger(2.0)
+        trigger.arm(100)
+        assert not trigger.should_fire(199)
+        assert trigger.should_fire(200)
+
+    def test_factor_must_exceed_one(self):
+        with pytest.raises(ValueError):
+            GrowthTrigger(1.0)
+
+    def test_sift_groups_remaps_consistently(self):
+        # Interleaved AND-pairs: identity order is quadratic, the sifted
+        # order linear -- so sift_groups must actually swap managers.
+        bdd = BDD()
+        for i in range(6):
+            bdd.add_var(f"x{i}")
+        f = bdd.apply_or(
+            bdd.apply_or(
+                bdd.apply_and(bdd.var(0), bdd.var(3)),
+                bdd.apply_and(bdd.var(1), bdd.var(4)),
+            ),
+            bdd.apply_and(bdd.var(2), bdd.var(5)),
+        )
+        g = bdd.apply_not(f)
+        sifted = sift_groups(bdd, [[f], [g]])
+        assert sifted is not None
+        new_bdd, new_groups, level_map = sifted
+        assert new_bdd is not bdd
+        assert sorted(level_map) == list(range(6))
+        (nf,), (ng,) = new_groups
+        assert new_bdd.size(nf) < bdd.size(f)
+        # Semantics are preserved under the level remap.
+        old_bits = bdd.to_truth_bits(f, list(range(6)))
+        new_levels = [level_map[l] for l in range(6)]
+        assert new_bdd.to_truth_bits(nf, new_levels) == old_bits
+        assert new_bdd.apply_not(nf) == ng

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from repro.boolfunc.cube import Cube
 from repro.boolfunc.sop import Sop
 from repro.boolfunc.truthtable import TruthTable
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
 from repro.mapping.lut import check_k_feasible, lut_count
 from repro.network.network import Network
+from repro.network.simulate import input_vectors
 
 
 def network_from_tables(tables, name="tst"):
@@ -225,25 +227,7 @@ class TestFlowConfigValidation:
             config.k = 6
 
 
-class TestBackendParity:
-    """The arena backend must emit byte-identical networks (see ENGINE.md)."""
-
-    @pytest.mark.parametrize("mode", ["multi", "single"])
-    def test_arena_blif_identical(self, mode):
-        pytest.importorskip("numpy")
-        from repro.io.blif import write_blif
-
-        net = ones_count_network(5, 3)
-        obj = synthesize(net, FlowConfig(k=4, mode=mode, bdd_backend="object"))
-        arena = synthesize(net, FlowConfig(k=4, mode=mode, bdd_backend="arena"))
-        assert write_blif(obj.network) == write_blif(arena.network)
-        assert arena.bdd_stats.backend == "arena"
-        assert arena.bdd_stats.arena["capacity"] > 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            FlowConfig(bdd_backend="cudd")
-
+class TestAutoReorder:
     def test_auto_reorder_needs_serial_executor(self):
         with pytest.raises(ValueError, match="auto_reorder"):
             FlowConfig(auto_reorder=True, executor="process")
@@ -262,6 +246,26 @@ class TestBackendParity:
         assert verify_flow(net, result)
 
 
+class TestVerifyFlowRejects:
+    def test_flipped_cube_in_one_lut_is_caught(self):
+        net = ones_count_network(5, 3)
+        result = synthesize(net, FlowConfig(k=4))
+        assert verify_flow(net, result)
+        lut = result.network
+        name = result.output_signals["f0"]
+        node = lut.nodes[name]
+        cube = next(c for c in node.cover.cubes if c.care)
+        flipped = Cube(cube.num_vars, cube.care, cube.value ^ (cube.care & -cube.care))
+        cubes = [flipped if c is cube else c for c in node.cover.cubes]
+        lut.replace_cover(name, node.fanins, Sop(node.cover.num_vars, cubes))
+        # The flip must really change an output, checked exhaustively.
+        assert any(
+            lut.evaluate(v)[name] != net.evaluate_outputs(v)["f0"]
+            for v in input_vectors(net.inputs, 0, 0)
+        )
+        assert verify_flow(net, result) is False
+
+
 class TestTypedStats:
     def test_bdd_stats_is_dataclass(self):
         from repro.observe import BddStats
@@ -273,6 +277,4 @@ class TestTypedStats:
         payload = result.bdd_stats.as_dict()
         assert set(payload) == {
             "nodes", "entries", "hits", "misses", "evictions", "hit_rate",
-            "backend",
         }
-        assert payload["backend"] == "object"
