@@ -538,7 +538,7 @@ def _add_flow_options(cmd: argparse.ArgumentParser) -> None:
                           "(start one with 'repro broker', attach workers "
                           "with 'repro worker')")
     cmd.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (engine workers, bound-set scoring)")
+                     help="worker processes (engine workers)")
     cmd.add_argument("--auto-reorder", action="store_true",
                      help="growth-triggered variable sifting between output "
                           "groups (see --reorder-factor)")

@@ -146,7 +146,7 @@ class LadderPeelPolicy:
         for scorer in scorers:
             bs_, fs_ = choose_bound_set(
                 bdd, vec, union, bound,
-                strategy=config.var_strategy, scorer=scorer, jobs=config.jobs,
+                strategy=config.var_strategy, scorer=scorer,
             )
             if tuple(bs_) in tried:
                 observe.add("scorer_race_skips")

@@ -63,7 +63,7 @@ class FlowConfig:
     strict: bool = False  # one-code-per-class baseline (refs [10, 11])
     max_group: int | None = None  # the paper's "limit m" valve
     max_globals: int | None = 64  # Property-1 abort threshold
-    jobs: int = 1  # process-pool width (engine workers, bound-set scoring)
+    jobs: int = 1  # process-pool width (engine workers)
     executor: Literal["serial", "process", "remote"] = "serial"
     policy: str = "ladder-peel"  # decomposition heuristic (engine.policies)
     ladder_cap: int = 12  # hard ceiling of the bound-size ladder
@@ -267,7 +267,6 @@ def prepare_synthesis(network: Network, config: FlowConfig) -> PreparedRun:
                 min(config.bound_size or config.k, config.k),
                 max_group=config.max_group,
                 max_globals=config.max_globals,
-                jobs=config.jobs,
             )
         groups = [[nontrivial[i] for i in g] for g in groups_idx]
         grouped = {i for g in groups for i in g}

@@ -176,7 +176,6 @@ def synthesize_structural(
                     min(config.bound_size or config.k, config.k),
                     max_group=config.max_group,
                     max_globals=config.max_globals,
-                    jobs=config.jobs,
                 )
             else:
                 groups = [[i] for i in range(len(batch))]

@@ -10,7 +10,10 @@ group with the leftovers.
 
 Trial decompositions dominate the run time (the paper blames alu2's 902
 seconds on exactly this); the ``max_group`` and ``max_globals`` caps are the
-paper's "limit m" safety valve.
+paper's "limit m" safety valve.  Property 1 (``q >= ceil(ld p)``) caps a
+trial's gain once its bound set's ``p`` is known, so a trial that cannot
+beat the group's current gain is skipped without changing the grouping
+(``trial_gain``'s ``beat``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.bdd.manager import BDD
 from repro.decompose.compat import codewidth, local_partition
 from repro.decompose.partitions import Partition
 from repro.imodec.decomposer import decompose_multi
+from repro.imodec.globalpart import lower_bound_q
 from repro.partitioning.variables import choose_bound_set
 
 
@@ -35,7 +39,7 @@ class TrialResult:
 
 
 def solo_codewidth(
-    bdd: BDD, f: int, input_levels: Sequence[int], bound_size: int, jobs: int = 1
+    bdd: BDD, f: int, input_levels: Sequence[int], bound_size: int
 ) -> int | None:
     """Codewidth of a single output with its *own* best bound set.
 
@@ -45,7 +49,7 @@ def solo_codewidth(
     usable = [lvl for lvl in input_levels if lvl in support]
     if len(usable) <= bound_size:
         return None
-    bs, _ = choose_bound_set(bdd, [f], usable, bound_size, jobs=jobs)
+    bs, _ = choose_bound_set(bdd, [f], usable, bound_size)
     return codewidth(local_partition(bdd, f, bs).num_blocks)
 
 
@@ -56,7 +60,7 @@ def trial_gain(
     bound_size: int,
     max_globals: int | None = None,
     solo_costs: Sequence[int] | None = None,
-    jobs: int = 1,
+    beat: int | None = None,
 ) -> TrialResult | None:
     """Gain of decomposing the given vector together, against solo baselines.
 
@@ -66,6 +70,14 @@ def trial_gain(
     individual codewidths therefore shows up as a reduced or negative gain.
     Returns None when the vector is not worth decomposing together (support
     too small, or p explodes past ``max_globals`` -- the Property 1 abort).
+
+    Property 1 (``q >= ceil(ld p)``) caps a scorer's gain at
+    ``sum c_k - ceil(ld p)`` once its bound set is chosen.  The trial
+    decomposition is skipped when that cap is ``<= beat`` (only gains
+    above ``beat`` matter to the caller) or ``<=`` the gain an earlier
+    scorer already reached (a tie keeps the earlier one).  The result is
+    None or a gain ``<= beat`` exactly when the gain of running every
+    trial is ``<= beat``, and the same :class:`TrialResult` otherwise.
     """
     supports = set()
     for f in f_nodes:
@@ -74,26 +86,32 @@ def trial_gain(
     if len(usable) <= bound_size:
         return None
     if solo_costs is None:
-        maybe = [solo_codewidth(bdd, f, input_levels, bound_size, jobs=jobs) for f in f_nodes]
+        maybe = [solo_codewidth(bdd, f, input_levels, bound_size) for f in f_nodes]
         if any(c is None for c in maybe):
             return None
         solo_costs = [c for c in maybe if c is not None]
+    solo_total = sum(solo_costs)
     # Try both bound-set scorers (see repro.partitioning.variables) and keep
     # the better gain -- mirroring the flow's own dual attempt.
     best: TrialResult | None = None
+    bar = beat  # a trial matters only if its gain can exceed this
     for scorer in ("compact", "shared") if len(f_nodes) > 1 else ("compact",):
         observe.add("trial_decompositions")
-        bs, fs = choose_bound_set(bdd, f_nodes, usable, bound_size, scorer=scorer, jobs=jobs)
+        bs, fs = choose_bound_set(bdd, f_nodes, usable, bound_size, scorer=scorer)
         parts = [local_partition(bdd, f, bs) for f in f_nodes]
         glob = Partition.product_all(parts)
         if max_globals is not None and glob.num_blocks > max_globals:
             continue
+        if bar is not None and solo_total - lower_bound_q(glob.num_blocks) <= bar:
+            observe.add("trials_pruned")
+            continue
         # The trial decomposition itself (no g construction: only q needed).
         result = decompose_multi(bdd, list(f_nodes), bs, fs, build_g=False)
-        gain = sum(solo_costs) - result.num_functions
+        gain = solo_total - result.num_functions
         candidate = TrialResult(gain=gain, num_globals=result.num_global_classes)
         if best is None or candidate.gain > best.gain:
             best = candidate
+            bar = gain if bar is None else max(bar, gain)
     return best
 
 
@@ -154,7 +172,6 @@ def partition_outputs(
     bound_size: int,
     max_group: int | None = None,
     max_globals: int | None = 64,
-    jobs: int = 1,
 ) -> list[list[int]]:
     """Group output indices into decomposition vectors (the paper's heuristic).
 
@@ -163,7 +180,7 @@ def partition_outputs(
     """
     with observe.span("partition_outputs"):
         groups = _partition_outputs_impl(
-            bdd, f_nodes, input_levels, bound_size, max_group, max_globals, jobs
+            bdd, f_nodes, input_levels, bound_size, max_group, max_globals
         )
         observe.add("groups_formed", len(groups))
         observe.gauge("largest_group", max((len(g) for g in groups), default=0))
@@ -177,11 +194,10 @@ def _partition_outputs_impl(
     bound_size: int,
     max_group: int | None,
     max_globals: int | None,
-    jobs: int,
 ) -> list[list[int]]:
     remaining = list(range(len(f_nodes)))
     solo: dict[int, int | None] = {
-        k: solo_codewidth(bdd, f_nodes[k], input_levels, bound_size, jobs=jobs)
+        k: solo_codewidth(bdd, f_nodes[k], input_levels, bound_size)
         for k in remaining
     }
     groups: list[list[int]] = []
@@ -216,7 +232,7 @@ def _partition_outputs_impl(
                 bound_size,
                 max_globals,
                 solo_costs=[solo[k] for k in members],  # type: ignore[misc]
-                jobs=jobs,
+                beat=current_gain,
             )
             if trial is None or trial.gain <= current_gain:
                 # the paper: if the gain decreased, the combination is undone

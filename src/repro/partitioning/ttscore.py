@@ -24,28 +24,40 @@ The scores are *bit-identical* to the BDD path
 - Candidates are enumerated in the same order and ties resolve to the first
   minimum, so the *chosen* bound set is identical too.
 
-Everything in this module is pure and picklable so the scoring loop can fan
-out over a process pool (see :func:`score_chunk` and
-``repro.partitioning.variables``).
+Two things keep the scan from repeating work, neither changing a score or
+the winner:
+
+- A :class:`ScoreContext` carries a local-class memo keyed by
+  ``(table, arity, bound positions)``.  The key is the function's value, so
+  the memo may outlive one scan and be shared by every scan on the same
+  functions (``repro.partitioning.variables`` keeps one per BDD manager).
+- The global partition refines every local partition, so ``p`` is at least
+  the largest local class count of any function.  :func:`score_chunk`
+  passes its best ``p`` so far, and :func:`score_combo` gives up on a
+  candidate as soon as one local count exceeds it: that candidate loses on
+  the primary key whatever its secondary keys are.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import functools
+import operator
+from typing import Callable, Sequence
 
 from repro.bdd.manager import row_mask
-from repro.errors import DecompositionError
 
 #: Largest per-function support eligible for truth-table scoring.
 #: 2^14 rows = 2 KiB per packed table; beyond that, BDD cofactoring wins.
 TT_MAX_VARS = 14
 
-#: Minimum number of candidates before a process pool is worth its overhead.
-PARALLEL_MIN = 16
-
 #: One output function prepared for scoring: packed truth table (LSB-first
 #: over the sorted support) plus the sorted support levels.
 PreparedFn = tuple[int, tuple[int, ...]]
+
+#: Local classes of one function at one set of bound positions:
+#: ``(table, arity, positions) -> (dense class id per vertex, class count)``.
+#: The id lists are shared between hits and must never be mutated.
+ClassMemo = dict[tuple[int, int, tuple[int, ...]], tuple[list[int], int]]
 
 
 def vertex_cofactor_keys(table: int, n: int, positions: Sequence[int]) -> list[int]:
@@ -75,21 +87,63 @@ def vertex_cofactor_keys(table: int, n: int, positions: Sequence[int]) -> list[i
     return maps
 
 
+@functools.lru_cache(maxsize=1024)
+def _spread(
+    width: int, have: tuple[int, ...]
+) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Getter spreading an array over vertex bits ``have`` to ``2^width`` vertices.
+
+    Entry ``x`` of the input belongs to the vertex whose bit ``have[t]`` is
+    bit ``t`` of ``x``; the other bits are don't-cares, so every vertex
+    agreeing on ``have`` reads the same entry.  ``width >= 1``, so the getter
+    always returns a tuple.
+    """
+    index = [
+        sum(((v >> u) & 1) << t for t, u in enumerate(have)) for v in range(1 << width)
+    ]
+    return operator.itemgetter(*index)
+
+
 class ScoreContext:
     """Reused lookups for scoring many candidates against the same functions.
 
     ``touched_by`` inverts the supports (level -> function indices), so a
     candidate only ever visits the functions it intersects -- in wide
     multi-output vectors most functions are disjoint from most candidates.
+    ``memo`` holds the local classes already computed (a fresh dict unless
+    the caller shares one); ``memo_hits`` and ``pruned`` count the
+    expansions and candidates the memo and the p-bound saved.
     """
 
-    def __init__(self, fns: Sequence[PreparedFn]) -> None:
+    def __init__(
+        self, fns: Sequence[PreparedFn], memo: ClassMemo | None = None
+    ) -> None:
         self.fns = fns
         self.pos_maps = [{lvl: i for i, lvl in enumerate(sup)} for _, sup in fns]
         self.touched_by: dict[int, list[int]] = {}
         for i, (_, sup) in enumerate(fns):
             for lvl in sup:
                 self.touched_by.setdefault(lvl, []).append(i)
+        self.memo: ClassMemo = {} if memo is None else memo
+        self.memo_hits = 0
+        self.pruned = 0
+
+    def local_classes(
+        self, table: int, n: int, positions: tuple[int, ...]
+    ) -> tuple[list[int], int]:
+        """Dense class id of every bound vertex, and the class count."""
+        key = (table, n, positions)
+        entry = self.memo.get(key)
+        if entry is not None:
+            self.memo_hits += 1
+            return entry
+        # Re-key the (large-integer) tables to small dense ids: one hash per
+        # entry here instead of one per entry per use in the global fold.
+        ids: dict[int, int] = {}
+        keys = vertex_cofactor_keys(table, n, positions)
+        id_arr = [ids.setdefault(k, len(ids)) for k in keys]
+        entry = self.memo[key] = (id_arr, len(ids))
+        return entry
 
 
 def score_combo(
@@ -97,20 +151,23 @@ def score_combo(
     combo: Sequence[int],
     scorer: str,
     ctx: ScoreContext | None = None,
-) -> tuple[int, int, int]:
+    max_p: int | None = None,
+) -> tuple[int, int, int] | None:
     """Score one candidate bound set from per-function packed truth tables.
 
     Mirrors ``repro.partitioning.variables.score_bound_set``: the returned
     tuple is ``(p, total_classes, -dependence)`` for the ``compact`` scorer
-    and ``(p, -dependence, total_classes)`` for ``shared``.
+    and ``(p, -dependence, total_classes)`` for ``shared``.  With ``max_p``
+    given, returns None instead once some function's local class count --
+    a lower bound on ``p`` -- exceeds it.
 
     A function disjoint from the candidate contributes a single local class
     and nothing to the global product, so only intersecting functions are
     expanded.  Each expansion works in the function's own compressed vertex
     space; for the global class count the per-function class-id arrays are
-    aligned (don't-care bits replicated by block doubling) over the union of
-    the involved vertex bits only and folded into one composite id per
-    vertex -- the remaining bits cannot split the product.
+    spread over the union of the involved vertex bits only (:func:`_spread`)
+    and the distinct per-vertex id tuples counted -- the remaining bits
+    cannot split the product.
     """
     if ctx is None:
         ctx = ScoreContext(fns)
@@ -123,60 +180,34 @@ def score_combo(
             involved_idx.update(hit)
     total_classes = len(fns) - len(involved_idx)
     dependence = 0
-    # (dense-id array over the function's compressed vertex space, vertex
-    # bits of the combo the function actually depends on)
-    involved: list[tuple[list[int], list[int]]] = []
+    # (dense-id array over the function's compressed vertex space, class
+    # count, vertex bits of the combo the function actually depends on)
+    involved: list[tuple[list[int], int, list[int]]] = []
     for i in sorted(involved_idx):
         table, sup = fns[i]
         pos_of = pos_maps[i]
-        sel = [(j, pos_of[lvl]) for j, lvl in enumerate(combo) if lvl in pos_of]
-        dependence += len(sel)
-        keys = vertex_cofactor_keys(table, len(sup), [p for _, p in sel])
-        # Re-key the (large-integer) tables to small dense ids: one hash per
-        # entry here instead of one per entry per use below.
-        ids: dict[int, int] = {}
-        id_arr = [ids.setdefault(k, len(ids)) for k in keys]
-        total_classes += len(ids)
-        if len(ids) > 1:
-            involved.append((id_arr, [j for j, _ in sel]))
+        js = [j for j, lvl in enumerate(combo) if lvl in pos_of]
+        dependence += len(js)
+        positions = tuple([pos_of[combo[j]] for j in js])
+        id_arr, count = ctx.local_classes(table, len(sup), positions)
+        if max_p is not None and count > max_p:
+            ctx.pruned += 1
+            return None
+        total_classes += count
+        if count > 1:
+            involved.append((id_arr, count, js))
     if not involved:
         num_globals = 1
     elif len(involved) == 1:
-        num_globals = len(set(involved[0][0]))
+        num_globals = involved[0][1]
     else:
-        union = sorted({j for _, js in involved for j in js})
+        union = sorted({j for _, _, js in involved for j in js})
         u_of = {j: u for u, j in enumerate(union)}
-        comp: list[int] | None = None
-        stride = 1
-        for id_arr, js in involved:
-            # Expand to the union vertex space: js ascend with u, so block
-            # doubling at each missing bit keeps the index aligned.
-            arr = id_arr
-            have = [u_of[j] for j in js]
-            k = 0
-            for u in range(len(union)):
-                if k < len(have) and have[k] == u:
-                    k += 1
-                    continue
-                block = 1 << u
-                out: list[int] = []
-                for start in range(0, len(arr), block):
-                    seg = arr[start : start + block]
-                    out += seg
-                    out += seg
-                arr = out
-            if comp is None:
-                comp = list(arr)
-            else:
-                # Mixed-radix fold: injective since ids are dense 0..n-1.
-                comp = [c + a * stride for c, a in zip(comp, arr)]
-            stride *= max(id_arr) + 1
-        if comp is None:
-            raise DecompositionError(
-                "global-class fold over an empty involvement list; "
-                "score_combo invariant violated"
-            )
-        num_globals = len(set(comp))
+        columns = [
+            _spread(len(union), tuple(u_of[j] for j in js))(id_arr)
+            for id_arr, _, js in involved
+        ]
+        num_globals = len(set(zip(*columns)))
     if scorer == "shared":
         return num_globals, -dependence, total_classes
     if scorer == "compact":
@@ -186,19 +217,23 @@ def score_combo(
 
 def score_chunk(
     fns: Sequence[PreparedFn],
-    chunk: Sequence[tuple[int, tuple[int, ...]]],
+    combos: Sequence[Sequence[int]],
     scorer: str,
+    ctx: ScoreContext | None = None,
 ) -> tuple[tuple[int, int, int], int] | None:
-    """Process-pool worker: best ``(score, candidate_index)`` of a chunk.
+    """Best ``(score, index)`` over ``combos``; None when there are none.
 
-    ``chunk`` holds ``(candidate_index, combo)`` pairs.  Ties break toward
-    the lowest candidate index, so reducing the per-chunk winners reproduces
-    the serial first-minimum scan exactly.
+    Ties break toward the lowest index, as in a plain first-minimum scan.
+    Each candidate is scored against the best ``p`` so far: one whose ``p``
+    provably exceeds it cannot win, and ties on ``p`` are still scored in
+    full, so the result equals that of the unpruned scan.
     """
-    ctx = ScoreContext(fns)
+    if ctx is None:
+        ctx = ScoreContext(fns)
     best: tuple[tuple[int, int, int], int] | None = None
-    for idx, combo in chunk:
-        score = score_combo(fns, combo, scorer, ctx)
-        if best is None or score < best[0]:
+    for idx, combo in enumerate(combos):
+        max_p = None if best is None else best[0][0]
+        score = score_combo(fns, combo, scorer, ctx, max_p)
+        if score is not None and (best is None or score < best[0]):
             best = (score, idx)
     return best

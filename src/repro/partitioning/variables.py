@@ -15,18 +15,22 @@ extension).
 Two scoring engines produce identical scores (see
 :mod:`repro.partitioning.ttscore`): when every output's support fits in
 ``TT_MAX_VARS`` variables, candidates are scored with packed-truth-table
-arithmetic (and optionally fanned out over a process pool via the ``jobs``
-argument); otherwise the generic BDD cofactoring path is used.  Candidate
+arithmetic; otherwise the generic BDD cofactoring path is used.  Candidate
 enumeration order is fixed and ties always resolve to the earliest
-candidate, so the chosen bound set does not depend on the engine or on
-``jobs``.
+candidate, so the chosen bound set does not depend on the engine.
+
+Each BDD manager gets its own memo (``_memo_for``): the local classes the
+truth-table scorer computed, and the result of every deterministic
+:func:`choose_bound_set` call.  Both are keyed by values that fix the
+answer -- packed tables, or node ids, which a manager never reuses -- so
+an entry cannot go stale, and both die with the manager.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 from typing import Literal, Sequence
 
 from repro import observe
@@ -35,9 +39,10 @@ from repro.decompose.compat import local_partition
 from repro.decompose.partitions import Partition
 from repro.errors import DecompositionError
 from repro.partitioning.ttscore import (
-    PARALLEL_MIN,
     TT_MAX_VARS,
+    ClassMemo,
     PreparedFn,
+    ScoreContext,
     score_chunk,
 )
 
@@ -49,20 +54,21 @@ EXHAUSTIVE_BUDGET = 400
 
 Scorer = Literal["compact", "shared"]
 
-# Lazily created, process-wide scoring pool (workers are fork-cheap and
-# reusable across calls; the pool is rebuilt only when ``jobs`` changes).
-_POOL: ProcessPoolExecutor | None = None
-_POOL_JOBS = 0
+#: ``(f_nodes, input_levels, bound_size, strategy, scorer)`` -> the
+#: ``(bs_levels, fs_levels)`` that :func:`choose_bound_set` returned.
+ChoiceMemo = dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]]
+
+_MEMOS: weakref.WeakKeyDictionary[BDD, tuple[ClassMemo, ChoiceMemo]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _get_pool(jobs: int) -> ProcessPoolExecutor:
-    global _POOL, _POOL_JOBS
-    if _POOL is None or _POOL_JOBS != jobs:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False)
-        _POOL = ProcessPoolExecutor(max_workers=jobs)
-        _POOL_JOBS = jobs
-    return _POOL
+def _memo_for(bdd: BDD) -> tuple[ClassMemo, ChoiceMemo]:
+    """The local-class and bound-set memos of ``bdd``, created on first use."""
+    memo = _MEMOS.get(bdd)
+    if memo is None:
+        memo = _MEMOS[bdd] = ({}, {})
+    return memo
 
 
 def score_bound_set(
@@ -120,26 +126,10 @@ def _best_candidate(
     fns: list[PreparedFn],
     combos: list[tuple[int, ...]],
     scorer: str,
-    jobs: int,
+    ctx: ScoreContext,
 ) -> int:
-    """Index of the best-scoring combo -- first minimum, regardless of jobs.
-
-    Chunks are contiguous, each worker returns its first minimum, and the
-    reduction compares ``(score, index)``, so the parallel result is
-    identical to a serial first-minimum scan.
-    """
-    indexed = list(enumerate(combos))
-    if jobs > 1 and len(indexed) >= PARALLEL_MIN:
-        pool = _get_pool(jobs)
-        chunk_size = -(-len(indexed) // (jobs * 4))
-        chunks = [
-            indexed[i : i + chunk_size] for i in range(0, len(indexed), chunk_size)
-        ]
-        winners = pool.map(
-            score_chunk, *zip(*[(fns, c, scorer) for c in chunks])
-        )
-        return min(w for w in winners if w is not None)[1]
-    result = score_chunk(fns, indexed, scorer)
+    """Index of the best-scoring combo (first minimum)."""
+    result = score_chunk(fns, combos, scorer, ctx)
     if result is None:
         raise DecompositionError(
             "truth-table scoring returned no winner for a non-empty candidate set"
@@ -155,18 +145,17 @@ def choose_bound_set(
     strategy: Strategy = "auto",
     rng: random.Random | None = None,
     scorer: Scorer = "compact",
-    jobs: int = 1,
 ) -> tuple[list[int], list[int]]:
     """Pick a bound set of ``bound_size`` variables from ``input_levels``.
 
     Returns ``(bs_levels, fs_levels)``.  The free set is never empty: at
-    most ``len(input_levels) - 1`` variables can be bound.  ``jobs`` > 1
-    fans the scoring loop out over a process pool (same result, see module
-    docstring).
+    most ``len(input_levels) - 1`` variables can be bound.  A repeated
+    deterministic call on the same manager returns the memoized answer (as
+    fresh lists); ``strategy="random"`` is never memoized.
 
     Recorded under a ``choose_bound_set`` span (candidates scored, scoring
-    engine taken) when a tracer is installed; tracing never changes the
-    chosen bound set.
+    engine taken, memo hits, candidates pruned by the p-bound) when a
+    tracer is installed; tracing never changes the chosen bound set.
     """
     levels = list(input_levels)
     n = len(levels)
@@ -174,19 +163,27 @@ def choose_bound_set(
         raise ValueError("need 1 <= bound_size < number of inputs")
 
     with observe.span("choose_bound_set"):
+        class_memo, choices = _memo_for(bdd)
+        key = (tuple(f_nodes), tuple(levels), bound_size, strategy, scorer)
+        known = choices.get(key)  # never holds a strategy="random" call
+        if known is not None:
+            observe.add("bound_set_memo_hits")
+            return list(known[0]), list(known[1])
+
         if strategy == "auto":
             num_candidates = _n_choose_k(n, bound_size)
             strategy = "exhaustive" if num_candidates <= EXHAUSTIVE_BUDGET else "greedy"
 
         fns = _prepare_functions(bdd, f_nodes) if strategy != "random" else None
+        ctx = ScoreContext(fns, class_memo) if fns is not None else None
         if strategy != "random":
             observe.add("tt_fast_path" if fns is not None else "bdd_scoring_path")
 
         if strategy == "exhaustive":
             combos = list(itertools.combinations(levels, bound_size))
             observe.add("candidates_scored", len(combos))
-            if fns is not None:
-                bs = list(combos[_best_candidate(fns, combos, scorer, jobs)])
+            if ctx is not None:
+                bs = list(combos[_best_candidate(fns, combos, scorer, ctx)])
             else:
                 best = None
                 best_score = None
@@ -205,9 +202,9 @@ def choose_bound_set(
             remaining = list(levels)
             while len(bs) < bound_size:
                 observe.add("candidates_scored", len(remaining))
-                if fns is not None:
+                if ctx is not None:
                     combos = [tuple(bs + [var]) for var in remaining]
-                    best_var = remaining[_best_candidate(fns, combos, scorer, jobs)]
+                    best_var = remaining[_best_candidate(fns, combos, scorer, ctx)]
                 else:
                     best_var = None
                     best_score = None
@@ -228,9 +225,17 @@ def choose_bound_set(
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
 
-    bs_sorted = sorted(bs)
-    fs = [lvl for lvl in levels if lvl not in set(bs_sorted)]
-    return bs_sorted, fs
+        if ctx is not None:
+            if ctx.memo_hits:
+                observe.add("local_class_memo_hits", ctx.memo_hits)
+            if ctx.pruned:
+                observe.add("candidates_pruned", ctx.pruned)
+
+        bs_sorted = sorted(bs)
+        fs = [lvl for lvl in levels if lvl not in set(bs_sorted)]
+        if strategy != "random":
+            choices[key] = (tuple(bs_sorted), tuple(fs))
+        return bs_sorted, fs
 
 
 def _n_choose_k(n: int, k: int) -> int:

@@ -1,8 +1,22 @@
 """Unit tests for the greedy output-partitioning heuristic."""
 
+import random
+
+from repro import observe
 from repro.bdd.manager import BDD
 from repro.boolfunc.truthtable import TruthTable
-from repro.partitioning.outputs import partition_outputs, shared_inputs, trial_gain
+from repro.decompose.compat import codewidth, local_partition
+from repro.decompose.partitions import Partition
+from repro.imodec.decomposer import decompose_multi
+from repro.imodec.globalpart import lower_bound_q
+from repro.observe import Tracer
+from repro.partitioning.outputs import (
+    TrialResult,
+    partition_outputs,
+    shared_inputs,
+    trial_gain,
+)
+from repro.partitioning.variables import choose_bound_set
 
 
 def build(tables):
@@ -41,6 +55,71 @@ class TestTrialGain:
         tables = [TruthTable.random(6, rng) for _ in range(3)]
         bdd, nodes = build(tables)
         assert trial_gain(bdd, nodes, list(range(6)), 4, max_globals=2) is None
+
+
+def random_vector_tables(rng):
+    """A random vector, or (one time in three) an rd-style one with real gain."""
+    n = rng.randint(5, 7)
+    if rng.random() < 1 / 3:
+        return n, ones_count_tables(n, rng.randint(2, 3))
+    return n, [TruthTable.random(n, rng) for _ in range(rng.randint(2, 3))]
+
+
+class TestPropertyOneTrialSkip:
+    def test_trial_decomposition_meets_lower_bound(self):
+        rng = random.Random(20261017)
+        for _ in range(25):
+            n, tables = random_vector_tables(rng)
+            bdd, nodes = build(tables)
+            bs = sorted(rng.sample(range(n), rng.randint(2, n - 2)))
+            fs = [lvl for lvl in range(n) if lvl not in bs]
+            p = Partition.product_all(
+                [local_partition(bdd, f, bs) for f in nodes]
+            ).num_blocks
+            result = decompose_multi(bdd, nodes, bs, fs, build_g=False)
+            assert result.num_global_classes == p
+            assert result.num_functions >= lower_bound_q(p)
+
+    def test_skipped_trials_never_change_the_result(self):
+        rng = random.Random(13)
+        pruned = kept = 0
+        for _ in range(20):
+            n, tables = random_vector_tables(rng)
+            bound = rng.randint(2, min(4, n - 2))
+            full = unpruned_trial_gain(*build(tables), list(range(n)), bound)
+            for beat in (None, -1, 0, 1, 2, 3):
+                bdd, nodes = build(tables)
+                tracer = Tracer()
+                with observe.tracing(tracer), observe.span("trial"):
+                    got = trial_gain(bdd, nodes, list(range(n)), bound, beat=beat)
+                pruned += tracer.root.children["trial"].counters.get("trials_pruned", 0)
+                if beat is not None and (full is None or full.gain <= beat):
+                    assert got is None or got.gain <= beat
+                else:
+                    assert got == full
+                    kept += 1
+        assert pruned > 0 and kept > 0
+
+
+def unpruned_trial_gain(bdd, nodes, levels, bound):
+    """``trial_gain`` with every trial decomposition run (the oracle)."""
+    union = set().union(*(bdd.support(f) for f in nodes))
+    usable = [lvl for lvl in levels if lvl in union]
+    solo_total = 0
+    for f in nodes:
+        own = [lvl for lvl in levels if lvl in bdd.support(f)]
+        if len(own) <= bound:
+            return None
+        bs, _ = choose_bound_set(bdd, [f], own, bound)
+        solo_total += codewidth(local_partition(bdd, f, bs).num_blocks)
+    best = None
+    for scorer in ("compact", "shared"):
+        bs, fs = choose_bound_set(bdd, nodes, usable, bound, scorer=scorer)
+        result = decompose_multi(bdd, nodes, bs, fs, build_g=False)
+        gain = solo_total - result.num_functions
+        if best is None or gain > best.gain:
+            best = TrialResult(gain=gain, num_globals=result.num_global_classes)
+    return best
 
 
 class TestSharedInputs:

@@ -177,6 +177,27 @@ class TestObservability:
         assert top == {"synthesize", "verify"}
         assert 0 < payload["total_seconds"] <= payload["meta"]["wall_clock_seconds"] * 1.5
 
+    def test_report_counts_skipped_scoring_work(self, tmp_path, capsys):
+        # A collapsed multi-output circuit exercises every exact shortcut of
+        # bound-set search and output partitioning.
+        from repro.benchcircuits import get_circuit
+        from repro.io.blif import write_blif
+
+        circuit = tmp_path / "f51m.blif"
+        circuit.write_text(write_blif(get_circuit("f51m").build()))
+        report_path = tmp_path / "run.json"
+        assert main(["synth", str(circuit), "--report", str(report_path)]) == 0
+        totals: dict[str, int] = {}
+        stack = validate_report(json.loads(report_path.read_text()))["spans"]
+        while stack:
+            span = stack.pop()
+            for name, value in span["counters"].items():
+                totals[name] = totals.get(name, 0) + value
+            stack.extend(span["children"])
+        for name in ("local_class_memo_hits", "candidates_pruned",
+                     "bound_set_memo_hits", "trials_pruned"):
+            assert totals.get(name, 0) > 0, name
+
     def test_trace_prints_span_tree(self, pla_file, capsys):
         assert main(["synth", str(pla_file), "--trace"]) == 0
         err = capsys.readouterr().err
