@@ -42,7 +42,7 @@ and optionally carry a name.  The variable order is the creation order unless
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: Sentinel level of the terminal node; larger than any variable level.
 TERMINAL_LEVEL = 1 << 30
@@ -296,10 +296,6 @@ class BDD:
         """Drop all memoization tables (nodes are kept)."""
         self._ops.clear()
         self._support_cache.clear()
-
-    def cache_size(self) -> int:
-        """Number of memoized entries in the unified operation cache."""
-        return len(self._ops)
 
     def cache_stats(self) -> dict:
         """Counters of the unified operation cache (and the node count)."""
@@ -1026,35 +1022,6 @@ class BDD:
             return (full ^ base) if e & 1 else base
 
         return rec(u)
-
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-
-    def build_expr(
-        self,
-        op: str,
-        *operands: int,
-    ) -> int:
-        """Apply a named operator (``and/or/xor/xnor/not/implies``) to operands."""
-        ops: dict[str, Callable[..., int]] = {
-            "and": self.conjoin,
-            "or": self.disjoin,
-        }
-        if op in ops:
-            return ops[op](operands)
-        if op == "not":
-            (f,) = operands
-            return self.apply_not(f)
-        binary = {
-            "xor": self.apply_xor,
-            "xnor": self.apply_xnor,
-            "implies": self.apply_implies,
-        }
-        if op in binary:
-            f, g = operands
-            return binary[op](f, g)
-        raise ValueError(f"unknown operator {op!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BDD vars={self.num_vars} nodes={self.num_nodes}>"

@@ -16,14 +16,17 @@ Two executors ship:
   serial group order, the resulting network is again identical to the
   serial one -- only wall-clock differs.
 
-The process executor is **fault-tolerant** (see ``docs/RELIABILITY.md``):
-a failed group submission -- worker crash, exceeded
-``FlowConfig.task_timeout``, or any exception crossing the pool -- is
-retried up to ``FlowConfig.task_retries`` times with exponential backoff,
-rebuilding the pool after a crash; a group that keeps failing degrades to
-the in-parent serial path, which still yields the identical network
-because emission order is preserved.  Every failure is recorded as a
-structured record via :func:`repro.observe.failure` and counted in
+The process executor is **fault-tolerant** (see ``docs/RELIABILITY.md``).
+Each uncached group is a list of candidate submissions -- one for a
+plain group, one per policy of a ``race:`` spec -- and every candidate
+takes the same path: a failed attempt (worker crash, exceeded
+``FlowConfig.task_timeout``, or any exception crossing the pool) is
+retried up to ``FlowConfig.task_retries`` times with exponential
+backoff, rebuilding the pool after a crash.  A race keeps its cheapest
+surviving candidate; a group with no survivor degrades to the in-parent
+serial path, which still yields the identical network because emission
+order is preserved.  Every failure is recorded as a structured record via
+:func:`repro.observe.failure` and counted in
 :class:`repro.engine.tasks.EngineStats`.  With
 ``FlowConfig.checkpoint_path`` set, merged group results are also
 serialized to a versioned checkpoint file
@@ -126,92 +129,61 @@ class SerialExecutor:
     ) -> list[list[str]]:
         """Drain every group in order on the engine's own context.
 
-        With ``config.cache_db`` each group is first looked up in the
-        persistent result cache; misses run through the in-process worker
-        path so their portable result can be recorded (see
-        :meth:`_drain_with_cache`).  With ``config.auto_reorder`` the
+        With ``config.cache_db`` or a ``race:`` policy each group runs
+        through the in-process worker path instead (see
+        :meth:`_drain_via_worker`).  With ``config.auto_reorder`` the
         manager's growth is checked at every group boundary and a growth
         past ``config.reorder_factor`` times the post-build size triggers
         a sifting pass over the pending roots (see
         :func:`repro.bdd.reorder.sift_groups`).
         """
-        if engine.racing:
-            return self._drain_with_race(engine, groups)
-        if engine.group_cache is not None:
-            return self._drain_with_cache(engine, groups)
+        if engine.racing or engine.group_cache is not None:
+            return self._drain_via_worker(engine, groups)
         if not engine.config.auto_reorder:
             return self.drain_groups(engine.emitter, engine.graph, groups)
         return self._drain_with_reorder(engine, groups)
 
-    def _drain_with_race(
+    def _drain_via_worker(
         self, engine: "Engine", groups: list[list[int]]
     ) -> list[list[str]]:
-        """Group-at-a-time drain racing the policy portfolio per group.
+        """Group-at-a-time drain through the in-process worker path.
 
-        Every candidate policy maps the group through the in-process
-        worker path (:func:`repro.engine.worker.run_group`), the winner
-        is the cheapest result under the engine's technology target with
-        spec order as the deterministic tie-break, and only the winner
-        merges -- byte-identical to the process executor's race (both
-        pick the same winner from the same deterministic candidates).  A
-        configured result cache is consulted first and fed the winner
-        (with its policy provenance) on a miss.
+        A configured result cache is consulted first; a verified hit
+        merges like a worker result.  A miss runs the group through
+        :func:`repro.engine.worker.run_group` *in process* -- the same
+        portable path the process executor uses, which the executor
+        equivalence guarantee makes byte-identical to the plain serial
+        drain -- or, under a ``race:`` policy, through
+        :func:`run_race_serial`, which merges only the winner (the same
+        winner the process executor's race picks from the same
+        deterministic candidates).  Either way the result exists in
+        storable form and is recorded after the merge, with the winning
+        policy as provenance when raced.
         """
         cache = engine.group_cache
         results: list[list[str]] = []
         for f_nodes in groups:
             engine.graph.note_queue_depth(len(groups) - len(results))
-            form = None
             if cache is not None:
                 with observe.span("cache-lookup"):
                     hit, form = cache.lookup(engine.context, f_nodes)
                 if hit is not None:
                     results.append(merge_group_result(engine, hit))
                     continue
-            payload = self._cache_payload(engine, f_nodes)
-            winner, result = run_race_serial(engine, payload)
+            payload = group_payload(engine.context, f_nodes)
+            winner = None
+            if engine.racing:
+                winner, result = run_race_serial(engine, payload)
+            else:
+                result = run_group(payload)
             signals = merge_group_result(engine, result)
-            if cache is not None and form is not None:
+            if cache is not None:
                 with observe.span("cache-record"):
                     cache.record(
-                        engine.context, form, f_nodes, result,
-                        policy=winner,
+                        engine.context, form, f_nodes, result, policy=winner
                     )
             results.append(signals)
         return results
-
-    def _drain_with_cache(
-        self, engine: "Engine", groups: list[list[int]]
-    ) -> list[list[str]]:
-        """Group-at-a-time drain consulting the persistent result cache.
-
-        A verified hit merges like a worker result.  A miss runs the
-        group through :func:`repro.engine.worker.run_group` *in process*
-        -- the same portable path the process executor uses, which PR 3's
-        equivalence guarantee makes byte-identical to the plain serial
-        drain -- so the result exists in storable form and is recorded
-        after the merge.
-        """
-        cache = engine.group_cache
-        results: list[list[str]] = []
-        for f_nodes in groups:
-            engine.graph.note_queue_depth(len(groups) - len(results))
-            with observe.span("cache-lookup"):
-                hit, form = cache.lookup(engine.context, f_nodes)
-            if hit is not None:
-                signals = merge_group_result(engine, hit)
-            else:
-                result = run_group(self._cache_payload(engine, f_nodes))
-                signals = merge_group_result(engine, result)
-                with observe.span("cache-record"):
-                    cache.record(engine.context, form, f_nodes, result)
-            results.append(signals)
-        return results
-
-    @staticmethod
-    def _cache_payload(engine: "Engine", f_nodes: list[int]) -> GroupPayload:
-        """Export one group for the in-process worker path (cache drain)."""
-        return ProcessExecutor._payload(engine.context, f_nodes)
 
     def _drain_with_reorder(
         self, engine: "Engine", groups: list[list[int]]
@@ -309,69 +281,28 @@ class SerialExecutor:
             stack.extend(reversed(children))
 
 
-def candidate_payload(payload: GroupPayload, policy: str) -> GroupPayload:
-    """The group payload re-pinned to one concrete racing policy.
-
-    Candidate workers must never see the ``race:`` spec itself -- each
-    runs exactly one named policy; everything else about the subproblem
-    (functions, frontier signals, knobs) is shared.
-    """
-    return dc_replace(
-        payload, config=dc_replace(payload.config, policy=policy)
+def group_payload(ctx: EmitContext, f_nodes: list[int]) -> GroupPayload:
+    """Export one group as a picklable worker subproblem."""
+    support = sorted(set().union(*(ctx.bdd.support(f) for f in f_nodes)))
+    return GroupPayload(
+        dag=export_dag(ctx.bdd, f_nodes),
+        level_signals={
+            lvl: ctx.signal_of_level[lvl] for lvl in support
+        },
+        config=ctx.config,
     )
 
 
-def run_race_serial(
-    engine: "Engine", payload: GroupPayload
-) -> tuple[str, GroupResult]:
-    """Race the policy portfolio over one group, in process, in spec order.
-
-    Every candidate runs to completion (best-cost semantics need every
-    cost); a candidate that dies is excluded (``race_failures``) as long
-    as at least one survives -- when all die, the last error propagates.
-    Returns ``(winner_policy, winner_result)`` where the winner minimizes
-    ``(target.group_cost(nodes), spec_index)``.
-    """
-    engine.race_counts["race_groups"] += 1
-    outcomes: list[tuple[tuple, int, str, GroupResult]] = []
-    last_error: Exception | None = None
-    for index, policy in enumerate(engine.race_policies):
-        if cancel_requested():
-            raise RunInterrupted(
-                "serial race cancelled (signal or server drain)"
-            )
-        engine.race_counts["race_candidates"] += 1
-        try:
-            with observe.span("race-candidate"):
-                result = run_group(candidate_payload(payload, policy))
-        except RunInterrupted:
-            raise
-        except Exception as exc:  # noqa: BLE001 - candidate is expendable
-            engine.race_counts["race_failures"] += 1
-            observe.failure(
-                kind="race-candidate", policy=policy,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            last_error = exc
-            continue
-        cost = engine.context.target.group_cost(result.nodes)
-        outcomes.append((cost, index, policy, result))
-    if not outcomes:
-        raise last_error  # type: ignore[misc] - at least one candidate ran
-    _, _, winner, result = min(outcomes, key=lambda o: (o[0], o[1]))
-    engine.note_race_winner(winner)
-    return winner, result
-
-
 @dataclass
-class RaceEntry:
-    """One candidate policy of one raced group on the process pool.
+class Candidate:
+    """One submission of one group: its only one, or one racing policy.
 
     Attributes:
-        policy: the candidate's concrete policy name.
+        policy: the candidate's concrete policy name (the configured
+            policy of an unraced group).
         index: position in the race spec (the deterministic tie-break).
-        payload: the candidate-pinned subproblem (resubmitted on retry).
-        future: the pending pool future.
+        payload: the subproblem this candidate maps (resubmitted on retry).
+        future: the pending pool future (None until submitted).
         attempt: current retry attempt (0 = first submission).
     """
 
@@ -382,20 +313,98 @@ class RaceEntry:
     attempt: int = 0
 
 
+def group_candidates(
+    engine: "Engine", payload: GroupPayload
+) -> list[Candidate]:
+    """One group's candidate submissions, in spec order.
+
+    An unraced group is a race of one: its payload as configured.  A
+    raced group gets the payload re-pinned to each racing policy --
+    candidate workers must never see the ``race:`` spec itself; each
+    runs exactly one named policy, and everything else about the
+    subproblem (functions, frontier signals, knobs) is shared -- and is
+    counted in ``race_groups`` / ``race_candidates``.
+    """
+    if not engine.racing:
+        return [Candidate(payload.config.policy, 0, payload)]
+    engine.race_counts["race_groups"] += 1
+    engine.race_counts["race_candidates"] += len(engine.race_policies)
+    return [
+        Candidate(
+            policy,
+            index,
+            dc_replace(
+                payload, config=dc_replace(payload.config, policy=policy)
+            ),
+        )
+        for index, policy in enumerate(engine.race_policies)
+    ]
+
+
+def pick_winner(
+    engine: "Engine", outcomes: list[tuple[Candidate, GroupResult]]
+) -> tuple[str, GroupResult]:
+    """Decide one race among its surviving candidates.
+
+    The winner minimizes ``(target.group_cost(nodes), spec_index)`` --
+    timing-independent, so every executor picks the same one -- and is
+    counted in the engine's per-policy win tally.
+    """
+    cost = engine.context.target.group_cost
+    winner, result = min(
+        outcomes, key=lambda o: (cost(o[1].nodes), o[0].index)
+    )
+    engine.note_race_winner(winner.policy)
+    return winner.policy, result
+
+
+def run_race_serial(
+    engine: "Engine", payload: GroupPayload
+) -> tuple[str, GroupResult]:
+    """Race the policy portfolio over one group, in process, in spec order.
+
+    Every candidate runs to completion (best-cost semantics need every
+    cost); a candidate that dies is excluded (``race_failures``) as long
+    as at least one survives -- when all die, the last error propagates.
+    Returns ``(winner_policy, winner_result)`` (see :func:`pick_winner`).
+    """
+    outcomes: list[tuple[Candidate, GroupResult]] = []
+    last_error: Exception | None = None
+    for cand in group_candidates(engine, payload):
+        if cancel_requested():
+            raise RunInterrupted(
+                "serial race cancelled (signal or server drain)"
+            )
+        try:
+            with observe.span("race-candidate"):
+                outcomes.append((cand, run_group(cand.payload)))
+        except RunInterrupted:
+            raise
+        except Exception as exc:  # noqa: BLE001 - candidate is expendable
+            engine.race_counts["race_failures"] += 1
+            observe.failure(
+                kind="race-candidate", policy=cand.policy,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            last_error = exc
+    if not outcomes:
+        raise last_error  # type: ignore[misc] - at least one candidate ran
+    return pick_winner(engine, outcomes)
+
+
 @dataclass
 class Submission:
-    """Book-keeping of one in-flight group on the process pool.
+    """Book-keeping of one group on the process pool.
 
     Attributes:
         ordinal: submission ordinal (dispatch order, batch-wide).
         f_nodes: the group's BDD roots in the parent manager (kept so the
             degraded serial fallback can re-run the group in-parent).
-        payload: the exported subproblem (resubmitted on retry).
         fingerprint: checkpoint identity of the payload (None when
             neither checkpointing nor resume is configured).
-        future: the pending pool future (None for resumed groups).
         cached: result replayed from a resume checkpoint, if any.
-        attempt: current retry attempt (0 = first submission).
+        candidates: the group's pool submissions -- one for an unraced
+            group, one per policy for a raced one (empty when ``cached``).
         failures: structured records of every failed attempt so far.
         degraded_signals: output signals produced by the in-parent serial
             fallback (None unless the group degraded).
@@ -405,25 +414,19 @@ class Submission:
             the group replayed from a checkpoint instead).
         cache_hit: True when ``cached`` came from the result cache
             rather than a resume checkpoint.
-        entries: candidate submissions of a policy-portfolio race (None
-            when the group is not raced; exactly one wins at collect
-            time).
         winner_policy: the racing policy whose result was merged (cache
             provenance; None for unraced or replayed groups).
     """
 
     ordinal: int
     f_nodes: list[int]
-    payload: GroupPayload
     fingerprint: str | None = None
-    future: object | None = None
     cached: GroupResult | None = None
-    attempt: int = 0
+    candidates: list[Candidate] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     degraded_signals: list[str] | None = None
     cache_form: object | None = None
     cache_hit: bool = False
-    entries: list[RaceEntry] | None = None
     winner_policy: str | None = None
 
 
@@ -526,13 +529,13 @@ class ProcessExecutor:
         subs: list[Submission] = []
         for i, f_nodes in enumerate(groups):
             ordinal = first_ordinal + i
-            payload = self._payload(ctx, f_nodes)
+            payload = group_payload(ctx, f_nodes)
             fingerprint = (
                 payload_fingerprint(payload)
                 if fingerprints or resume is not None
                 else None
             )
-            sub = Submission(ordinal, list(f_nodes), payload, fingerprint)
+            sub = Submission(ordinal, list(f_nodes), fingerprint)
             if resume is not None and fingerprint is not None:
                 sub.cached = resume.lookup(ordinal, fingerprint)
             if sub.cached is None and engine.group_cache is not None:
@@ -543,27 +546,24 @@ class ProcessExecutor:
                     sub.cached = hit
                     sub.cache_hit = True
             if sub.cached is None:
-                if engine.racing:
-                    self._submit_race(engine, sub)
-                else:
-                    sub.future = self._pool_submit(self._armed(sub, faults))
+                sub.candidates = group_candidates(engine, payload)
+                for cand in sub.candidates:
+                    self._submit(sub, cand, faults)
             subs.append(sub)
         self._note_stale(resume)
         return subs
 
-    def _submit_race(self, engine: "Engine", sub: Submission) -> None:
-        """Fan one group out as competing candidate-policy submissions."""
-        engine.race_counts["race_groups"] += 1
-        sub.entries = []
-        for index, policy in enumerate(engine.race_policies):
-            entry = RaceEntry(
-                policy=policy,
-                index=index,
-                payload=candidate_payload(sub.payload, policy),
-            )
-            entry.future = self._pool_submit(entry.payload)
-            engine.race_counts["race_candidates"] += 1
-            sub.entries.append(entry)
+    def _submit(
+        self, sub: Submission, cand: Candidate, faults: ResolvedFaults
+    ) -> None:
+        """Put one candidate's current attempt on the pool, fault armed."""
+        payload = cand.payload
+        fault = faults.fault_for(sub.ordinal, cand.attempt)
+        if fault is not None:
+            self._counts["faults_injected"] += 1
+            observe.add("faults_injected")
+            payload = dc_replace(payload, fault=fault)
+        cand.future = self._pool_submit(payload)
 
     def _note_stale(self, resume: ResumeState | None) -> None:
         """Surface newly-discovered stale resume entries (counter + stderr)."""
@@ -602,9 +602,9 @@ class ProcessExecutor:
     ) -> list[list[str]]:
         """Re-import group results sequentially, in submission order.
 
-        Failed submissions are retried (see :meth:`_await_result`);
-        merged results are checkpointed; parent-side ``abort`` faults
-        fire after the checkpoint flush so resume paths are testable.
+        Failed submissions are retried (see :meth:`_decide`); merged
+        results are checkpointed; parent-side ``abort`` faults fire
+        after the checkpoint flush so resume paths are testable.
         """
         results: list[list[str]] = []
         try:
@@ -620,20 +620,14 @@ class ProcessExecutor:
                         observe.add("checkpoint_groups_replayed")
                     # (result-cache hits were already counted at lookup)
                     result: GroupResult | None = sub.cached
-                elif sub.entries is not None:
-                    result = self._await_race(engine, sub)
                 else:
-                    result = self._await_result(engine, sub, faults)
+                    result = self._decide(engine, sub, faults)
                 if result is not None:
                     signals = merge_group_result(engine, result)
                     if ckpt is not None and sub.fingerprint is not None:
                         ckpt.record(sub.ordinal, sub.fingerprint, result)
                         self._counts["checkpoint_saved"] += 1
-                    if (
-                        engine.group_cache is not None
-                        and sub.cache_form is not None
-                        and not sub.cache_hit
-                    ):
+                    if sub.cache_form is not None and not sub.cache_hit:
                         with observe.span("cache-record"):
                             engine.group_cache.record(
                                 engine.context, sub.cache_form,
@@ -653,7 +647,7 @@ class ProcessExecutor:
         except RunInterrupted:
             # Outstanding futures must not keep pool workers (and the
             # interpreter's exit machinery) busy after the run is dead.
-            self._cancel_outstanding(engine, subs)
+            self._cancel_pending(engine, subs)
             raise
         finally:
             if ckpt is not None:
@@ -661,131 +655,77 @@ class ProcessExecutor:
         return results
 
     @staticmethod
-    def _cancel_outstanding(engine: "Engine", subs: list[Submission]) -> None:
-        """Cancel every not-yet-collected pool future (cancelled drain).
+    def _cancel_pending(engine: "Engine", subs: list[Submission]) -> None:
+        """Revoke every candidate future of ``subs`` still pending.
 
-        Race-candidate futures revoked before they started count as
-        cancelled losers -- the run is dead, nobody can win anymore.
+        A race-candidate future revoked before it started counts as a
+        cancelled loser: its race was decided without it, or the drain
+        is being torn down and nobody can win anymore.
         """
         for sub in subs:
-            future = sub.future
-            if future is not None:
-                future.cancel()
-            for entry in sub.entries or ():
-                if entry.future is not None and entry.future.cancel():
+            for cand in sub.candidates:
+                if cand.future.cancel() and engine.racing:
                     engine.race_counts["race_losers_cancelled"] += 1
 
     # ------------------------------------------------------------------
-    # racing
+    # awaiting and deciding
     # ------------------------------------------------------------------
 
-    def _await_race(
-        self, engine: "Engine", sub: Submission
+    def _decide(
+        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
     ) -> GroupResult | None:
-        """Decide one raced group from its candidate submissions.
+        """Await every candidate of one group and settle its result.
 
-        Candidates are awaited in spec order and every survivor's cost is
-        taken (best-cost semantics need all of them), so the winner --
-        ``min`` by ``(target.group_cost(nodes), spec_index)`` -- is
-        timing-independent and matches the serial race exactly.  A
-        candidate that fails permanently is excluded (``race_failures``);
-        when every candidate dies the group degrades to the in-parent
-        serial path exactly like an unraced group.  Any future still
-        pending once the winner is decided is revoked
-        (``race_losers_cancelled``).
+        Candidates are awaited in spec order (see :meth:`_await_candidate`)
+        and every survivor is kept, so a race decides by best cost, not
+        by timing (:func:`pick_winner`), and matches the serial race
+        exactly.  A raced candidate that fails permanently is excluded
+        (``race_failures``); when every candidate fails the group
+        degrades to the in-parent serial path.  An unraced group takes
+        its single result; a raced one first revokes every future still
+        pending (``race_losers_cancelled``).
+
+        Returns None when the group was degraded (its signals are then
+        already bound on ``sub.degraded_signals``).
         """
-        outcomes: list[tuple[tuple, int, str, GroupResult]] = []
-        for entry in sub.entries:
-            result = self._await_candidate(engine, sub, entry)
-            if result is None:
-                continue
-            cost = engine.context.target.group_cost(result.nodes)
-            outcomes.append((cost, entry.index, entry.policy, result))
+        outcomes: list[tuple[Candidate, GroupResult]] = []
+        for cand in sub.candidates:
+            result = self._await_candidate(engine, sub, cand, faults)
+            if result is not None:
+                outcomes.append((cand, result))
+            elif engine.racing:
+                engine.race_counts["race_failures"] += 1
         if not outcomes:
-            return self._degrade(engine, sub, NO_FAULTS)
-        for entry in sub.entries:
-            if entry.future is not None and entry.future.cancel():
-                engine.race_counts["race_losers_cancelled"] += 1
-        _, _, winner, result = min(outcomes, key=lambda o: (o[0], o[1]))
-        sub.winner_policy = winner
-        engine.note_race_winner(winner)
+            # A raced group retried only its candidates, never itself,
+            # so its in-parent fallback is still the group's attempt 0.
+            attempt = 0 if engine.racing else sub.candidates[0].attempt
+            return self._degrade(engine, sub, faults, attempt)
+        if not engine.racing:
+            return outcomes[0][1]
+        self._cancel_pending(engine, [sub])
+        sub.winner_policy, result = pick_winner(engine, outcomes)
         return result
 
     def _await_candidate(
-        self, engine: "Engine", sub: Submission, entry: RaceEntry
+        self,
+        engine: "Engine",
+        sub: Submission,
+        cand: Candidate,
+        faults: ResolvedFaults,
     ) -> GroupResult | None:
-        """Wait for one race candidate, retrying failures with backoff.
+        """Wait for one candidate, retrying failures with backoff.
 
-        Mirrors :meth:`_await_result`, but a candidate that exhausts its
-        retry budget returns None (excluded from the race) instead of
-        degrading -- the race survives as long as one candidate does.
-        Failure records carry the candidate's policy name.
+        Every failed attempt is recorded (raced candidates' records
+        carry their policy name); a crash also rebuilds the pool.
+        Returns the worker's result, or None once the candidate has
+        exhausted ``FlowConfig.task_retries``.
         """
         config = engine.config
         while True:
             started = time.perf_counter()
             try:
                 return self._wait_interruptible(
-                    entry.future, config.task_timeout
-                )
-            except RunInterrupted:
-                raise  # drain teardown, not a candidate failure
-            except FutureTimeoutError:
-                kind = "timeout"
-                error = f"group exceeded task_timeout={config.task_timeout:g}s"
-                self._counts["task_timeouts"] += 1
-            except BrokenExecutor as exc:
-                kind = "worker-crash"
-                error = str(exc) or type(exc).__name__
-                self._counts["worker_crashes"] += 1
-                _reset_pool()
-            except Exception as exc:  # noqa: BLE001 - candidate is expendable
-                kind = "error"
-                error = f"{type(exc).__name__}: {exc}"
-            record = {
-                "kind": kind,
-                "group": sub.ordinal,
-                "policy": entry.policy,
-                "attempt": entry.attempt,
-                "error": error,
-                "seconds": round(time.perf_counter() - started, 6),
-            }
-            sub.failures.append(record)
-            observe.failure(**record)
-            entry.attempt += 1
-            if entry.attempt > config.task_retries:
-                engine.race_counts["race_failures"] += 1
-                return None
-            self._counts["tasks_retried"] += 1
-            observe.add("tasks_retried")
-            time.sleep(
-                min(
-                    config.retry_backoff * (2 ** (entry.attempt - 1)),
-                    MAX_BACKOFF_SECONDS,
-                )
-            )
-            entry.future = self._pool_submit(entry.payload)
-
-    # ------------------------------------------------------------------
-    # failure handling
-    # ------------------------------------------------------------------
-
-    def _await_result(
-        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
-    ) -> GroupResult | None:
-        """Wait for one submission, retrying failures with backoff.
-
-        Returns the worker's result, or None when the group was degraded
-        to the in-parent serial path (its signals are then already bound
-        on ``sub.degraded_signals``).  Raises :class:`GroupFailedError`
-        when the group fails permanently.
-        """
-        config = engine.config
-        while True:
-            started = time.perf_counter()
-            try:
-                return self._wait_interruptible(
-                    sub.future, config.task_timeout
+                    cand.future, config.task_timeout
                 )
             except RunInterrupted:
                 # Not a task failure: the whole drain is being torn down
@@ -807,19 +747,22 @@ class ProcessExecutor:
             except Exception as exc:  # noqa: BLE001 - any worker failure
                 kind = "error"
                 error = f"{type(exc).__name__}: {exc}"
-            self._note_failure(sub, kind, error, started)
-            sub.attempt += 1
-            if sub.attempt > config.task_retries:
-                return self._degrade(engine, sub, faults)
+            self._note_failure(
+                sub, kind, error, started, cand.attempt,
+                policy=cand.policy if engine.racing else None,
+            )
+            cand.attempt += 1
+            if cand.attempt > config.task_retries:
+                return None
             self._counts["tasks_retried"] += 1
             observe.add("tasks_retried")
             time.sleep(
                 min(
-                    config.retry_backoff * (2 ** (sub.attempt - 1)),
+                    config.retry_backoff * (2 ** (cand.attempt - 1)),
                     MAX_BACKOFF_SECONDS,
                 )
             )
-            sub.future = self._pool_submit(self._armed(sub, faults))
+            self._submit(sub, cand, faults)
 
     @staticmethod
     def _wait_interruptible(future, timeout: float | None):
@@ -849,47 +792,53 @@ class ProcessExecutor:
             except FutureTimeoutError:
                 continue  # poll slice elapsed; re-check cancel/deadline
 
-    def _armed(self, sub: Submission, faults: ResolvedFaults) -> GroupPayload:
-        """The submission's payload with the attempt's planned fault, if any."""
-        fault = faults.fault_for(sub.ordinal, sub.attempt)
-        if fault is None:
-            return sub.payload
-        self._counts["faults_injected"] += 1
-        observe.add("faults_injected")
-        return dc_replace(sub.payload, fault=fault)
+    # ------------------------------------------------------------------
+    # failure handling
+    # ------------------------------------------------------------------
 
+    @staticmethod
     def _note_failure(
-        self, sub: Submission, kind: str, error: str, started: float
+        sub: Submission,
+        kind: str,
+        error: str,
+        started: float,
+        attempt: int,
+        policy: str | None = None,
     ) -> None:
         """Record one failed attempt (structured, for the run report)."""
         record = {
-            "kind": kind,
-            "group": sub.ordinal,
-            "attempt": sub.attempt,
-            "error": error,
+            "kind": kind, "group": sub.ordinal, "policy": policy,
+            "attempt": attempt, "error": error,
             "seconds": round(time.perf_counter() - started, 6),
         }
+        if policy is None:
+            del record["policy"]  # only raced candidates name a policy
         sub.failures.append(record)
         observe.failure(**record)
 
     def _degrade(
-        self, engine: "Engine", sub: Submission, faults: ResolvedFaults
+        self,
+        engine: "Engine",
+        sub: Submission,
+        faults: ResolvedFaults,
+        attempt: int,
     ) -> None:
         """Run a repeatedly-failing group in-parent on the serial path.
 
         Emission order is unchanged (the group runs at its merge
         position), so the final network stays identical to a fault-free
-        run.  Raises :class:`GroupFailedError` when degradation is
-        disabled or the serial path fails too.
+        run.  ``attempt`` is the group's attempt number for this run
+        (planned faults fire on it too).  Raises
+        :class:`GroupFailedError` when degradation is disabled or the
+        serial path fails too.
         """
-        config = engine.config
-        if not config.degrade_to_serial:
+        if not engine.config.degrade_to_serial:
             raise GroupFailedError(sub.ordinal, sub.failures)
         self._counts["groups_degraded"] += 1
         observe.add("groups_degraded")
         started = time.perf_counter()
         try:
-            fault = faults.fault_for(sub.ordinal, sub.attempt)
+            fault = faults.fault_for(sub.ordinal, attempt)
             if fault is not None:
                 self._counts["faults_injected"] += 1
                 perform_fault(fault, in_worker=False)
@@ -900,23 +849,11 @@ class ProcessExecutor:
             raise  # drain teardown, not a group failure
         except Exception as exc:
             self._note_failure(
-                sub, "degraded", f"{type(exc).__name__}: {exc}", started
+                sub, "degraded", f"{type(exc).__name__}: {exc}", started,
+                attempt,
             )
             raise GroupFailedError(sub.ordinal, sub.failures) from exc
         sub.degraded_signals = signals
-        return None
-
-    @staticmethod
-    def _payload(ctx: EmitContext, f_nodes: list[int]) -> GroupPayload:
-        """Export one group as a picklable worker subproblem."""
-        support = sorted(set().union(*(ctx.bdd.support(f) for f in f_nodes)))
-        return GroupPayload(
-            dag=export_dag(ctx.bdd, f_nodes),
-            level_signals={
-                lvl: ctx.signal_of_level[lvl] for lvl in support
-            },
-            config=ctx.config,
-        )
 
 
 def merge_group_result(engine: "Engine", result: GroupResult) -> list[str]:

@@ -48,6 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.engine.remote.wire import (
     RESULT_SCHEMA,
     RemoteWireError,
+    parse_poll,
     parse_result,
     parse_task,
     strip_fault,
@@ -178,7 +179,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 self._send_json(202, broker.submit(parse_task(body)))
             elif path == "/tasks/next":
-                self._send_json(200, broker.next_task(body))
+                self._send_json(200, broker.next_task(parse_poll(body)))
             elif path == "/results":
                 self._send_json(200, broker.post_result(parse_result(body)))
             else:

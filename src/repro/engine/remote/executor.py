@@ -5,10 +5,12 @@ exactly one seam -- future creation (``_pool_submit``) -- replacing pool
 futures with broker-backed :class:`_RemoteFuture` objects that speak the
 ``concurrent.futures.Future`` subset the drain uses (``result(timeout)``
 and ``cancel()``).  Everything above the seam is inherited verbatim:
-the retry ladder with exponential backoff, per-attempt fault arming,
-degrade-to-serial at the merge position, checkpoint/resume replay,
-policy-portfolio racing, and the sequential in-order merge that makes
-the mapped BLIF byte-identical to a serial run.
+the single candidate path -- a plain group is one candidate, a raced
+group one per policy -- with its per-candidate retry loop (exponential
+backoff, per-attempt fault arming), the race decision, degrade-to-serial
+at the merge position, checkpoint/resume replay, and the sequential
+in-order merge that makes the mapped BLIF byte-identical to a serial
+run.
 
 Dead-host mapping: a worker that dies mid-group simply never posts its
 result.  The broker's lease expires and requeues the task once (fault

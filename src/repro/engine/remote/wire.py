@@ -17,6 +17,10 @@ Two envelopes exist:
   :class:`repro.engine.worker.GroupResult` back (reusing the checkpoint
   layer's portable JSON form), or a typed error.
 
+A worker's long-poll body (``{"worker": <str>, "wait": <seconds>}``)
+carries no schema tag, but :func:`parse_poll` still type-checks it so a
+malformed poll is answered 400 like a malformed envelope.
+
 The configuration travels with every task because workers are
 stateless: any worker can serve any coordinator.  Transport-only knobs
 (``jobs``, ``executor``, ``broker``, checkpoint/cache paths, the fault
@@ -279,6 +283,22 @@ def parse_task(body: dict) -> dict:
     key = body.get("cache_key")
     if key is not None and not isinstance(key, str):
         raise RemoteWireError("task envelope: cache_key must be str or null")
+    return body
+
+
+def parse_poll(body: dict) -> dict:
+    """Validate one ``POST /tasks/next`` long-poll body (broker side).
+
+    Both fields are optional: ``worker`` names the polling worker and
+    ``wait`` is the long-poll budget in seconds.
+    """
+    if not isinstance(body, dict):
+        raise RemoteWireError("poll: not a JSON object")
+    if not isinstance(body.get("worker", ""), str):
+        raise RemoteWireError("poll: field 'worker' must be a string")
+    wait = body.get("wait", 0.0)
+    if not isinstance(wait, (int, float)) or isinstance(wait, bool):
+        raise RemoteWireError("poll: field 'wait' must be a number")
     return body
 
 

@@ -33,8 +33,6 @@ from repro.errors import BudgetExceeded
 from repro.observe.report import (
     ReportSchemaError,
     SCHEMA_ID,
-    SCHEMA_ID_V1,
-    SCHEMA_ID_V2,
     build_report,
     flatten_phases,
     format_tree,
@@ -49,8 +47,6 @@ __all__ = [
     "BudgetExceeded",
     "ReportSchemaError",
     "SCHEMA_ID",
-    "SCHEMA_ID_V1",
-    "SCHEMA_ID_V2",
     "Span",
     "Tracer",
     "add",

@@ -4,10 +4,8 @@ A run report is the JSON serialization of a :class:`repro.observe.Tracer`
 span tree plus run metadata.  The format is versioned
 (``repro-run-report/5``) and validated by :func:`validate_report` -- a
 dependency-free structural checker the CI smoke runs against every emitted
-report (``python -m repro.observe out.json``).  Version 1 (no ``engine``
-section), version 2 (no ``failures`` array), version 3 (no ``target``
-section) and version 4 (no nested ``engine.remote`` object) reports are
-still accepted by the validator.
+report (``python -m repro.observe out.json``).  Only version 5 is
+accepted: nothing emits or reads the earlier versions any more.
 
 Schema (all times in seconds, all counters numeric)::
 
@@ -29,25 +27,22 @@ Schema (all times in seconds, all counters numeric)::
     }
     <failure> = {"kind": <str>, <str>: <scalar>, ...}
 
-The ``engine`` section (new in version 2) is a flat object of scalars
-describing the :mod:`repro.engine` run: the executor taken, worker count,
-per-kind task counts, the queue-depth high-water mark, and -- new in
-version 3 -- the reliability counters of the fault-tolerant executor
-(retries, timeouts, degradations, checkpoint activity; see
-``docs/RELIABILITY.md``).  The ``failures`` array (new in version 3)
+The ``engine`` section is a flat object of scalars describing the
+:mod:`repro.engine` run: the executor taken, worker count, per-kind task
+counts, the queue-depth high-water mark, and the reliability counters of
+the fault-tolerant executor (retries, timeouts, degradations, checkpoint
+activity; see ``docs/RELIABILITY.md``).  Its one nested object is a
+``remote`` entry of scalars (broker address, tasks submitted/completed,
+lease expiries, shared-cache hits, broker errors) that remote-executor
+runs attach (see ``docs/DISTRIBUTED.md``).  The ``failures`` array
 holds one structured record per failed task attempt, as collected by
 :meth:`repro.observe.Tracer.failure`; each record carries at least a
 ``kind`` string (``timeout`` / ``worker-crash`` / ``fault`` / ...).
-The ``target`` section (new in version 4, see ``docs/TARGETS.md``)
-describes the technology target the run mapped for: a required
-non-empty ``name``, scalar entries (``k``, cost totals, per-target
-cache counters), and an optional ``race_winners`` object counting how
-many raced groups each policy of a ``race:`` portfolio won.  Version 5
-(see ``docs/DISTRIBUTED.md``) allows one nested object inside
-``engine``: a ``remote`` entry of scalars (broker address, tasks
-submitted/completed, lease expiries, shared-cache hits, broker errors)
-that remote-executor runs attach; every other ``engine`` entry remains
-a flat scalar.
+The ``target`` section (see ``docs/TARGETS.md``) describes the
+technology target the run mapped for: a required non-empty ``name``,
+scalar entries (``k``, cost totals, per-target cache counters), and an
+optional ``race_winners`` object counting how many raced groups each
+policy of a ``race:`` portfolio won.
 
 :func:`format_tree` renders the same tree for humans (the CLI's
 ``--trace``).
@@ -61,11 +56,6 @@ from typing import Any
 from repro.observe.tracer import Span, Tracer
 
 SCHEMA_ID = "repro-run-report/5"
-#: Previous schema versions, still accepted by :func:`validate_report`.
-SCHEMA_ID_V4 = "repro-run-report/4"
-SCHEMA_ID_V3 = "repro-run-report/3"
-SCHEMA_ID_V2 = "repro-run-report/2"
-SCHEMA_ID_V1 = "repro-run-report/1"
 
 
 class ReportSchemaError(ValueError):
@@ -167,34 +157,19 @@ def validate_report(payload: Any) -> dict[str, Any]:
     if not isinstance(payload, dict):
         _fail("$", "report must be an object")
     schema = payload.get("schema")
-    known = (SCHEMA_ID, SCHEMA_ID_V4, SCHEMA_ID_V3, SCHEMA_ID_V2, SCHEMA_ID_V1)
-    if schema not in known:
-        _fail(
-            "$.schema",
-            f"expected one of {list(known)}, got {schema!r}",
-        )
+    if schema != SCHEMA_ID:
+        _fail("$.schema", f"expected {SCHEMA_ID!r}, got {schema!r}")
     required = {"schema", "total_seconds", "meta", "spans"}
     missing = required - payload.keys()
     if missing:
         _fail("$", f"missing keys {sorted(missing)}")
     if "engine" in payload:
-        if schema == SCHEMA_ID_V1:
-            _fail(
-                "$.engine",
-                "engine section requires schema repro-run-report/2 or newer",
-            )
         if not isinstance(payload["engine"], dict):
             _fail("$.engine", "must be an object")
         for key, value in payload["engine"].items():
             if not isinstance(key, str):
                 _fail("$.engine", "entry names must be strings")
             if key == "remote":
-                if schema != SCHEMA_ID:
-                    _fail(
-                        "$.engine",
-                        "nested remote object requires schema "
-                        "repro-run-report/5",
-                    )
                 if not isinstance(value, dict):
                     _fail("$.engine", "remote must be an object")
                 for rkey, rvalue in value.items():
@@ -210,11 +185,6 @@ def validate_report(payload: Any) -> dict[str, Any]:
             if not isinstance(value, _SCALAR):
                 _fail("$.engine", f"entry {key!r} must map a string to a scalar")
     if "target" in payload:
-        if schema not in (SCHEMA_ID, SCHEMA_ID_V4):
-            _fail(
-                "$.target",
-                "target section requires schema repro-run-report/4 or newer",
-            )
         section = payload["target"]
         if not isinstance(section, dict):
             _fail("$.target", "must be an object")
@@ -242,11 +212,6 @@ def validate_report(payload: Any) -> dict[str, Any]:
             if not isinstance(value, _SCALAR):
                 _fail("$.target", f"entry {key!r} must map a string to a scalar")
     if "failures" in payload:
-        if schema in (SCHEMA_ID_V1, SCHEMA_ID_V2):
-            _fail(
-                "$.failures",
-                "failures array requires schema repro-run-report/3 or newer",
-            )
         if not isinstance(payload["failures"], list):
             _fail("$.failures", "must be an array")
         for i, event in enumerate(payload["failures"]):

@@ -9,8 +9,11 @@ winner and byte-identical BLIF on every run, under either executor.
 
 import pytest
 
+from repro import observe
 from repro.algebraic.rugged import rugged
 from repro.benchcircuits.registry import get_circuit
+from repro.engine import executors
+from repro.engine.executors import ProcessExecutor
 from repro.engine.policies import POLICIES, parse_policy_spec
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize, verify_flow
@@ -24,6 +27,57 @@ def misex1():
     net = get_circuit("misex1").build()
     rugged(net)
     return net
+
+
+def misex2():
+    # Several output groups: a one-group network short-circuits the
+    # process executor to the serial path.
+    return get_circuit("misex2").build()
+
+
+class _DeadFuture:
+    """A pool future whose candidate always dies."""
+
+    def result(self, timeout=None):
+        raise RuntimeError("candidate died")
+
+    def cancel(self):
+        return False
+
+
+@pytest.fixture
+def fail_candidates(monkeypatch):
+    """Make every candidate of the given policies die, per executor.
+
+    The process executor gets a dead future from its submit seam; the
+    serial race gets a raising in-process worker call.
+    """
+
+    def install(executor: str, policies: set[str]) -> None:
+        if executor == "process":
+            real = ProcessExecutor._pool_submit
+
+            def submit(self, payload):
+                if payload.config.policy in policies:
+                    return _DeadFuture()
+                return real(self, payload)
+
+            monkeypatch.setattr(ProcessExecutor, "_pool_submit", submit)
+        else:
+            real = executors.run_group
+
+            def run(payload):
+                if payload.config.policy in policies:
+                    raise RuntimeError("candidate died")
+                return real(payload)
+
+            monkeypatch.setattr(executors, "run_group", run)
+
+    return install
+
+
+def race_config(executor: str) -> FlowConfig:
+    return FlowConfig(policy=RACE, executor=executor, jobs=2, retry_backoff=0.0)
 
 
 class TestParsePolicySpec:
@@ -128,15 +182,20 @@ class TestRaceAccounting:
         assert sum(result.race_winners.values()) == stats.race_groups
 
     def test_process_executor_cancels_losers(self):
+        serial = synthesize(misex2(), FlowConfig(policy=RACE))
         result = synthesize(
-            ones_count_network(6, 3),
-            FlowConfig(policy=RACE, executor="process", jobs=2),
+            misex2(), FlowConfig(policy=RACE, executor="process", jobs=2)
         )
         stats = result.engine_stats
-        assert stats.race_groups > 0
-        # Losers are cancelled after the winner is picked; the serial
-        # executor runs candidates to completion in-line instead.
-        assert stats.race_losers_cancelled >= 0
+        assert stats.race_groups > 1
+        # Losers are cancelled after the winner is picked (the serial
+        # executor runs candidates to completion in-line instead); the
+        # winner of each group is never among them.
+        assert (
+            stats.race_losers_cancelled
+            <= stats.race_candidates - stats.race_groups
+        )
+        assert write_blif(result.network) == write_blif(serial.network)
 
     def test_single_policy_runs_do_not_race(self):
         result = synthesize(ones_count_network(6, 3), FlowConfig())
@@ -144,3 +203,46 @@ class TestRaceAccounting:
         assert stats.race_groups == 0
         assert stats.race_candidates == 0
         assert result.race_winners == {}
+
+
+class TestRaceFailures:
+    """A dying candidate drops out of its race; a race with no survivor
+    degrades (process executor) or raises (serial executor)."""
+
+    FAILING = "ladder-peel"
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_failed_candidate_is_excluded(self, fail_candidates, executor):
+        survivors = [p for p in parse_policy_spec(RACE) if p != self.FAILING]
+        expected = synthesize(
+            misex2(), FlowConfig(policy="race:" + ",".join(survivors))
+        )
+        fail_candidates(executor, {self.FAILING})
+        tracer = observe.Tracer()
+        with observe.tracing(tracer):
+            result = synthesize(misex2(), race_config(executor))
+        stats = result.engine_stats
+        assert stats.race_groups > 1
+        assert stats.race_failures == stats.race_groups
+        assert tracer.failures
+        assert all(f["policy"] == self.FAILING for f in tracer.failures)
+        assert self.FAILING not in result.race_winners
+        assert write_blif(result.network) == write_blif(expected.network)
+
+    def test_process_race_with_no_survivor_degrades(self, fail_candidates):
+        # The degraded in-parent path runs the spec's first candidate.
+        first = parse_policy_spec(RACE)[0]
+        expected = synthesize(misex2(), FlowConfig(policy=first))
+        fail_candidates("process", set(POLICIES))
+        result = synthesize(misex2(), race_config("process"))
+        stats = result.engine_stats
+        assert stats.race_groups > 1
+        assert stats.groups_degraded == stats.race_groups
+        assert stats.race_failures == stats.race_candidates
+        assert result.race_winners == {}
+        assert write_blif(result.network) == write_blif(expected.network)
+
+    def test_serial_race_with_no_survivor_raises(self, fail_candidates):
+        fail_candidates("serial", set(POLICIES))
+        with pytest.raises(RuntimeError, match="candidate died"):
+            synthesize(misex2(), race_config("serial"))

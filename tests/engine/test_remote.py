@@ -21,6 +21,7 @@ from repro.algebraic.rugged import rugged
 from repro.benchcircuits.registry import get_circuit
 from repro.engine.remote import (
     BrokerClient,
+    BrokerError,
     BrokerConfig,
     BrokerUnavailable,
     TaskBroker,
@@ -340,3 +341,18 @@ class TestLeaseSemantics:
             # Poked the flag without running the real drain; restore it so
             # the fixture's stop() performs the actual shutdown.
             b.draining = False
+
+
+class TestBrokerWire:
+    """Malformed requests are answered 4xx; the broker keeps serving."""
+
+    @pytest.mark.parametrize("body", [[1, 2], {"wait": "abc"}, {"worker": 7}])
+    def test_malformed_poll_answers_400(self, broker, body):
+        _, address = broker
+        client = BrokerClient(address)
+        # A bad poll body is a client error, not a dropped connection.
+        with pytest.raises(BrokerError) as err:
+            client._request("POST", "/tasks/next", body)
+        assert err.value.status == 400
+        assert "poll" in str(err.value)
+        assert client.healthz()["status"] == "ok"
