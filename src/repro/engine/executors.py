@@ -658,9 +658,9 @@ class ProcessExecutor:
     def _cancel_pending(engine: "Engine", subs: list[Submission]) -> None:
         """Revoke every candidate future of ``subs`` still pending.
 
-        A race-candidate future revoked before it started counts as a
-        cancelled loser: its race was decided without it, or the drain
-        is being torn down and nobody can win anymore.
+        Runs only when the drain is torn down; a race-candidate future
+        revoked before it started counts as a cancelled loser, since
+        nobody can win its race anymore.
         """
         for sub in subs:
             for cand in sub.candidates:
@@ -682,8 +682,7 @@ class ProcessExecutor:
         exactly.  A raced candidate that fails permanently is excluded
         (``race_failures``); when every candidate fails the group
         degrades to the in-parent serial path.  An unraced group takes
-        its single result; a raced one first revokes every future still
-        pending (``race_losers_cancelled``).
+        its single result.
 
         Returns None when the group was degraded (its signals are then
         already bound on ``sub.degraded_signals``).
@@ -702,7 +701,6 @@ class ProcessExecutor:
             return self._degrade(engine, sub, faults, attempt)
         if not engine.racing:
             return outcomes[0][1]
-        self._cancel_pending(engine, [sub])
         sub.winner_policy, result = pick_winner(engine, outcomes)
         return result
 

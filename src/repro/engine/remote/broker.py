@@ -13,7 +13,8 @@ exhausts its requeue budget is failed broker-side with a synthetic
 ``LeaseExpired`` error, which the coordinator's retry ladder treats
 like any worker death: retry, then degrade to serial.
 
-Endpoints (all JSON; schemas in :mod:`repro.engine.remote.wire`):
+Endpoints (all JSON; schemas in :mod:`repro.engine.remote.wire`; the
+HTTP scaffold is :mod:`repro.jsonhttp`):
 
 - ``POST /tasks`` -- submit one task envelope; 503 while draining.
 - ``POST /tasks/next`` -- worker poll (body: ``worker``, ``wait``);
@@ -37,13 +38,10 @@ story, exactly as for the process executor.
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine.remote.wire import (
     RESULT_SCHEMA,
@@ -53,6 +51,7 @@ from repro.engine.remote.wire import (
     parse_task,
     strip_fault,
 )
+from repro.jsonhttp import BadRequest, JsonHandler, JsonServer
 
 #: Largest accepted request body -- PortableDags of big circuits are
 #: much larger than serve's job submissions.
@@ -121,128 +120,74 @@ class _Board:
     workers_seen: set = field(default_factory=set)
 
 
-class _BrokerHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying a reference to the broker."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Set by :class:`TaskBroker` right after construction.
-    broker: "TaskBroker"
-
-
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Request handler translating HTTP onto the task board."""
 
-    server: _BrokerHTTPServer
-    protocol_version = "HTTP/1.1"
-
-    def _send_json(self, status: int, body: dict) -> None:
-        """Serialize one JSON response with correct framing."""
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _error(self, status: int, message: str) -> None:
-        """One-line JSON error body."""
-        self._send_json(status, {"error": message})
-
-    def _read_body(self) -> dict | None:
-        """The request's JSON body, or None after an error response."""
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return None
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._error(400, "JSON request body required")
-            return None
-        try:
-            return json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._error(400, f"malformed JSON body: {exc}")
-            return None
+    max_body = MAX_BODY_BYTES
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """``POST /tasks``, ``POST /tasks/next``, ``POST /results``."""
-        broker = self.server.broker
+        broker = self.server.app
         path = self.path.rstrip("/")
-        body = self._read_body()
-        if body is None:
-            return
         try:
+            body = self.read_json()
             if path == "/tasks":
                 if broker.draining:
-                    self._error(503, "broker is draining; no new tasks")
+                    self.error(503, "broker is draining; no new tasks")
                     return
-                self._send_json(202, broker.submit(parse_task(body)))
+                self.send_json(202, broker.submit(parse_task(body)))
             elif path == "/tasks/next":
-                self._send_json(200, broker.next_task(parse_poll(body)))
+                self.send_json(200, broker.next_task(parse_poll(body)))
             elif path == "/results":
-                self._send_json(200, broker.post_result(parse_result(body)))
+                self.send_json(200, broker.post_result(parse_result(body)))
             else:
-                self._error(404, f"unknown endpoint {self.path!r}")
-        except RemoteWireError as exc:
-            self._error(400, str(exc))
+                self.error(404, f"unknown endpoint {self.path!r}")
+        except (BadRequest, RemoteWireError) as exc:
+            self.error(400, str(exc))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """``GET /tasks/<id>``, ``/cache/<key>``, ``/healthz``, ``/stats``."""
-        broker = self.server.broker
+        broker = self.server.app
         path = self.path.rstrip("/")
         if path == "/healthz":
             status = "draining" if broker.draining else "ok"
-            self._send_json(503 if broker.draining else 200, {"status": status})
+            self.send_json(503 if broker.draining else 200, {"status": status})
         elif path == "/stats":
-            self._send_json(200, broker.stats())
+            self.send_json(200, broker.stats())
         elif path.startswith("/tasks/"):
-            self._send_json(200, broker.task_status(path[len("/tasks/"):]))
+            self.send_json(200, broker.task_status(path[len("/tasks/"):]))
         elif path.startswith("/cache/"):
-            self._send_json(200, broker.cache_lookup(path[len("/cache/"):]))
+            self.send_json(200, broker.cache_lookup(path[len("/cache/"):]))
         else:
-            self._error(404, f"unknown endpoint {self.path!r}")
+            self.error(404, f"unknown endpoint {self.path!r}")
 
     def do_DELETE(self) -> None:  # noqa: N802 - http.server API
         """``DELETE /tasks/<id>``: cancel or collect-and-forget."""
-        broker = self.server.broker
+        broker = self.server.app
         path = self.path.rstrip("/")
         if path.startswith("/tasks/"):
-            self._send_json(200, broker.cancel(path[len("/tasks/"):]))
+            self.send_json(200, broker.cancel(path[len("/tasks/"):]))
         else:
-            self._error(404, f"unknown endpoint {self.path!r}")
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter (tests and CI logs)."""
+            self.error(404, f"unknown endpoint {self.path!r}")
 
 
-class TaskBroker:
+class TaskBroker(JsonServer):
     """The long-lived task board behind ``repro broker``.
 
-    Construct with a :class:`BrokerConfig`, then either call
-    :meth:`serve_forever` (CLI: installs signal handlers, blocks until
-    drained) or drive it in-process with :meth:`start` / :meth:`stop`
-    (tests).  All board mutations happen under one condition variable;
-    expired leases are reaped on every poll that observes the board, so
-    no background reaper thread is needed.
+    All board mutations happen under one condition variable; expired
+    leases are reaped on every poll that observes the board, so no
+    background reaper thread is needed.
     """
+
+    handler = _Handler
+    label = "broker"
 
     def __init__(self, config: BrokerConfig) -> None:
         """Wire up the board and the optional shared store (nothing binds yet)."""
+        super().__init__(config.host, config.port)
         self.config = config
         self.board = _Board()
-        self.draining = False
         self._store = None
-        self._httpd: _BrokerHTTPServer | None = None
-        self._serve_thread: threading.Thread | None = None
-        self._drain_lock = threading.Lock()
-        self._drained = threading.Event()
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) -- valid after :meth:`start`."""
-        assert self._httpd is not None, "broker not started"
-        return self._httpd.server_address[:2]
 
     # ------------------------------------------------------------------
     # board operations (each takes and releases the lock)
@@ -433,75 +378,23 @@ class TaskBroker:
     # lifecycle
     # ------------------------------------------------------------------
 
-    def start(self) -> tuple[str, int]:
-        """Bind the listener and open the shared store; returns (host, port)."""
+    def _setup(self) -> None:
+        """Open the shared store, if any."""
         if self.config.cache_db is not None:
             from repro.cache.store import open_store
 
             self._store = open_store(self.config.cache_db)
-        self._httpd = _BrokerHTTPServer(
-            (self.config.host, self.config.port), _Handler
-        )
-        self._httpd.broker = self
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-broker-listener",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        return self.address
 
-    def stop(self) -> None:
-        """Gracefully drain and shut down (idempotent).
+    def _drain(self) -> None:
+        """Wake long-polls into "draining" and close the shared store.
 
-        New submissions get 503, polling workers are told to exit,
-        pending tasks are dropped -- the coordinator's retry ladder and
-        checkpoints own durability -- and the listener stops.
+        Pending tasks are dropped: coordinator retries and checkpoints
+        own durability.
         """
-        with self._drain_lock:
-            if self.draining:
-                self._drained.wait()
-                return
-            self.draining = True
         with self.board.cond:
-            self.board.cond.notify_all()  # wake long-polls into "draining"
+            self.board.cond.notify_all()
         if self.config.cache_db is not None:
             from repro.cache.store import close_store
 
             close_store(self.config.cache_db)
             self._store = None
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join()
-        self._drained.set()
-
-    def serve_forever(self) -> int:
-        """CLI entry point: serve until SIGINT/SIGTERM, then drain.
-
-        The handler hands the drain to a helper thread -- :meth:`stop`
-        must not run on the thread executing the signal handler, which
-        may be blocked inside the listener it is about to stop.
-        """
-        host, port = self.start()
-
-        def _drain(signum: int, frame) -> None:
-            threading.Thread(
-                target=self.stop, name="repro-broker-drain", daemon=True
-            ).start()
-
-        previous = {}
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            previous[sig] = signal.signal(sig, _drain)
-        print(f"repro broker: listening on http://{host}:{port}", flush=True)
-        try:
-            assert self._serve_thread is not None
-            while self._serve_thread.is_alive():
-                self._serve_thread.join(timeout=0.2)
-        finally:
-            self.stop()  # no-op when the drain already ran
-            for sig, old in previous.items():
-                signal.signal(sig, old)
-        print("repro broker: drained", flush=True)
-        return 0

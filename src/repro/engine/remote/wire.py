@@ -42,7 +42,7 @@ from repro.engine.checkpoint import (
     result_from_json,
     result_to_json,
 )
-from repro.engine.faults import FAULT_KINDS, FaultSpec
+from repro.engine.faults import FaultSpec
 from repro.engine.worker import GroupPayload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
@@ -157,15 +157,24 @@ def fault_from_json(data: dict | None) -> FaultSpec | None:
     if data is None:
         return None
     kind = _require(data, "kind", str, "task fault")
-    if kind not in FAULT_KINDS:
-        raise RemoteWireError(f"task fault: unknown kind {kind!r}")
+    group = int(_require(data, "group", int, "task fault"))
     attempts = data.get("attempts")
-    return FaultSpec(
-        kind=kind,
-        group=int(_require(data, "group", int, "task fault")),
-        attempts=None if attempts is None else tuple(attempts),
-        seconds=float(data.get("seconds", 0.0)),
-    )
+    if attempts is not None and not (
+        isinstance(attempts, list) and all(type(a) is int for a in attempts)
+    ):
+        raise RemoteWireError("task fault: bad 'attempts' (null or ints)")
+    seconds = data.get("seconds", 0.0)
+    if type(seconds) not in (int, float):
+        raise RemoteWireError("task fault: field 'seconds' must be a number")
+    try:
+        return FaultSpec(
+            kind=kind,
+            group=group,
+            attempts=None if attempts is None else tuple(attempts),
+            seconds=float(seconds),
+        )
+    except ValueError as exc:  # unknown kind, negative group or delay
+        raise RemoteWireError(f"task fault: {exc}") from exc
 
 
 def payload_to_json(payload: GroupPayload) -> dict:

@@ -78,9 +78,9 @@ class EngineStats:
         race_candidates: candidate policy runs dispatched across all
             raced groups (``race_groups`` x portfolio size, minus any
             replayed from cache/checkpoint).
-        race_losers_cancelled: losing candidate submissions cancelled
-            before they ran (pool futures revoked once the group's
-            winner was decided or the run was interrupted).
+        race_losers_cancelled: raced candidates an interrupted drain
+            revoked before they ran (a completed race awaits every
+            candidate, so it cancels none).
         race_failures: candidate runs that failed permanently and were
             excluded from their group's race (the race proceeds as long
             as one candidate survives).

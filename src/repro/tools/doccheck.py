@@ -41,6 +41,7 @@ DEFAULT_TARGETS = (
     "src/repro/bdd/transfer.py",
     "src/repro/bdd/manager.py",
     "src/repro/bdd/canon.py",
+    "src/repro/jsonhttp.py",
 )
 
 _SKIP_PRAGMA = "# doccheck: skip"

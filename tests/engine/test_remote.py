@@ -9,6 +9,8 @@ expiry fails the task) exercised with handcrafted envelopes.
 """
 
 import contextlib
+import http.client
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +29,9 @@ from repro.engine.remote import (
     TaskBroker,
     run_worker,
 )
+from repro.engine.remote.broker import MAX_BODY_BYTES
 from repro.engine.remote.wire import TASK_SCHEMA
+from repro.engine.remote.worker import _handle_task
 from repro.errors import FaultInjected
 from repro.io.blif import write_blif
 from repro.mapping.flow import FlowConfig, synthesize
@@ -356,3 +360,115 @@ class TestBrokerWire:
         assert err.value.status == 400
         assert "poll" in str(err.value)
         assert client.healthz()["status"] == "ok"
+
+    def test_null_body_answers_400(self, broker):
+        # JSON ``null`` parses fine but is no envelope: answered, not
+        # left hanging until the client times out.
+        b, _ = broker
+        conn = http.client.HTTPConnection(*b.address, timeout=10)
+        try:
+            status, body = _exchange(conn, "POST", "/tasks", b"null")
+        finally:
+            conn.close()
+        assert status == 400 and "not a JSON object" in body["error"]
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One request on a kept-alive connection; returns (status, JSON)."""
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+class TestFraming:
+    """A refused request leaves its keep-alive connection usable: the
+    broker consumes the declared body or closes the connection."""
+
+    @pytest.mark.parametrize("case", ["unknown-path", "oversized"])
+    def test_refused_request_keeps_connection_usable(self, broker, case):
+        b, _ = broker
+        conn = http.client.HTTPConnection(*b.address, timeout=30)
+        body = json.dumps({"worker": "w1", "wait": 0}).encode()
+        try:
+            if case == "unknown-path":
+                assert _exchange(conn, "POST", "/nope", body)[0] == 404
+            else:
+                declared = {"Content-Length": str(MAX_BODY_BYTES + 1)}
+                status, _ = _exchange(conn, "POST", "/tasks", body, declared)
+                assert status == 400
+            assert _exchange(conn, "GET", "/healthz") == (
+                200, {"status": "ok"}
+            )
+        finally:
+            conn.close()
+
+
+class _StubClient:
+    """Records posted result envelopes in place of a broker."""
+
+    def __init__(self):
+        self.posted = []
+
+    def post_result(self, envelope):
+        self.posted.append(envelope)
+        return {"recorded": True}
+
+    def cache_get(self, key):
+        return None
+
+
+class TestWorkerRobustness:
+    """A malformed task is answered with an error result, never a crash."""
+
+    @pytest.mark.parametrize("fault", [
+        {"kind": "delay", "group": 0, "seconds": "x"},
+        {"kind": "delay", "group": 0, "attempts": ["0"]},
+        {"kind": "delay", "group": -1},
+    ])
+    def test_malformed_fault_posts_error_result(self, fault):
+        client = _StubClient()
+        task = {
+            "id": "t1",
+            "cache_key": None,
+            "payload": {
+                "dag": {"var_names": [], "nodes": [], "roots": []},
+                "level_signals": {},
+                "config": {},
+                "fault": fault,
+            },
+        }
+        _handle_task(client, task, "w1")
+        [envelope] = client.posted
+        assert envelope["ok"] is False
+        assert envelope["error"]["type"] == "RemoteWireError"
+        assert "task fault" in envelope["error"]["message"]
+
+
+class TestRemoteRace:
+    """Racing over the broker collects every task exactly once."""
+
+    def test_completed_race_deletes_each_task_once(self, broker, monkeypatch):
+        _, address = broker
+        deleted = []
+        cancel = BrokerClient.cancel
+
+        def counting_cancel(self, task_id):
+            deleted.append(task_id)
+            return cancel(self, task_id)
+
+        monkeypatch.setattr(BrokerClient, "cancel", counting_cancel)
+        policy = "race:ladder-peel,peel-first"
+        net = bench("rd53")
+        baseline = write_blif(
+            synthesize(net.copy(), FlowConfig(policy=policy)).network
+        )
+        with worker_threads(address, count=2):
+            res = synthesize(net.copy(), remote_config(address, policy=policy))
+        assert write_blif(res.network) == baseline
+        stats = res.engine_stats
+        assert stats.race_groups == 3
+        assert stats.remote["tasks_submitted"] == stats.race_candidates
+        # One DELETE per collected task, and no second one per loser.
+        assert sorted(deleted) == sorted(set(deleted))
+        assert len(deleted) == stats.remote["tasks_submitted"]
+        assert stats.race_losers_cancelled == 0

@@ -6,6 +6,7 @@ byte-identity assertion comes from a one-shot CLI run of the same
 circuit, because byte-identical-to-the-CLI is the daemon's contract.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -23,6 +24,7 @@ from repro.serve import (
     ServerConfig,
     SynthesisServer,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.jobs import Job
 from repro.serve.wire import JobRequest
 
@@ -166,6 +168,44 @@ class TestProtocol:
         status, listing = _request(base, "/jobs")
         assert status == 200
         assert {"id": body["id"], "status": "done"} in listing["jobs"]
+
+
+def _exchange(conn, method, path, body=None, headers=None):
+    """One request on a kept-alive connection; returns (status, JSON)."""
+    conn.request(method, path, body=body, headers=headers or {})
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+class TestFraming:
+    """A refused request leaves its keep-alive connection usable: the
+    server consumes the declared body or closes the connection."""
+
+    @pytest.mark.parametrize(
+        "case", ["unknown-path", "oversized", "draining"]
+    )
+    def test_refused_request_keeps_connection_usable(self, server, case):
+        srv, _ = server
+        conn = http.client.HTTPConnection(*srv.address, timeout=30)
+        body = json.dumps({"circuit": RD53_PLA}).encode()
+        try:
+            if case == "unknown-path":
+                assert _exchange(conn, "POST", "/nope", body)[0] == 404
+            elif case == "oversized":
+                declared = {"Content-Length": str(MAX_BODY_BYTES + 1)}
+                status, _ = _exchange(conn, "POST", "/jobs", body, declared)
+                assert status == 400
+            else:
+                srv.draining = True  # a drain's admission window
+                try:
+                    assert _exchange(conn, "POST", "/jobs", body)[0] == 503
+                finally:
+                    srv.draining = False
+            assert _exchange(conn, "GET", "/healthz") == (
+                200, {"status": "ok"}
+            )
+        finally:
+            conn.close()
 
 
 # ----------------------------------------------------------------------

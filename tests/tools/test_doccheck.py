@@ -138,5 +138,5 @@ class TestMain:
             "src/repro/engine", "src/repro/cache", "src/repro/serve",
             "src/repro/targets",
             "src/repro/bdd/transfer.py", "src/repro/bdd/manager.py",
-            "src/repro/bdd/canon.py",
+            "src/repro/bdd/canon.py", "src/repro/jsonhttp.py",
         )
